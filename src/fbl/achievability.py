@@ -13,15 +13,14 @@ union components are kept on the result for auditing.
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from . import channel as chn
 from . import nep, tail
-from .numkit import (composite_gauss_legendre, log_binom, q_func, q_inv,
-                     solve_monotone)
+from .numkit import (composite_gauss_legendre, golden_min, log_binom, q_func,
+                     q_inv, solve_monotone)
 
 LN2 = math.log(2.0)
 
@@ -85,14 +84,10 @@ def _sym_factor(ch, n, symmetric=None) -> float:
     return 1.0 / (1.0 - 2.0 ** (-n)) if n < 1060 else 1.0
 
 
-@lru_cache(maxsize=64)
-def _cond_family(ch) -> nep.TiltFamily:
-    return nep.cond_entropy_family(ch)
-
-
-@lru_cache(maxsize=64)
-def _rel_family(ch, t) -> nep.TiltFamily:
-    return nep.rel_entropy_family(ch, t)
+def _type_defect(t, n) -> float:
+    """n H(t) - ln |type class of t|: what the fixed-composition bounds lose
+    against an i.i.d. codebook."""
+    return n * t.entropy() - chn.log_type_class_size(t, n)
 
 
 def _exp(x: float) -> float:
@@ -122,31 +117,9 @@ def thm1_bound(ch, cp: CodeParams, delta: float,
         extras={"linear_capacity": cap})
 
 
-def _coarse_then_golden(f, lo, hi, grid_points=64, iters=60):
-    """Minimize a unimodal-in-practice f: coarse log grid, then golden section."""
-    grid = np.geomspace(lo, hi, grid_points)
-    vals = [f(x) for x in grid]
-    i = int(np.argmin(vals))
-    a = grid[max(i - 1, 0)]
-    b = grid[min(i + 1, grid_points - 1)]
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - phi * (b - a)
-    x2 = a + phi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    best_x, best_f = (grid[i], vals[i])
-    for _ in range(iters):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - phi * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + phi * (b - a)
-            f2 = f(x2)
-        for x, fx in ((x1, f1), (x2, f2)):
-            if fx < best_f:
-                best_x, best_f = x, fx
-    return best_x, best_f
+def _min_over_delta(objective, hi):
+    """Deviation minimizing objective on [1e-6, hi]: log grid, then golden section."""
+    return golden_min(objective, np.geomspace(1e-6, hi, 64), 60)[0]
 
 
 def thm1_optimized(ch, cp: CodeParams,
@@ -171,14 +144,13 @@ def thm1_optimized(ch, cp: CodeParams,
     sigma = math.sqrt(summary.sigma2_h)
     hi = max(cap - rate, 0.0) + max(0.1, 2.0 * sigma)
     if isinstance(ch, chn.DiscreteChannel):
-        fam = _cond_family(ch)
+        fam = nep.cond_entropy_family(ch)
         hi = min(hi, 0.999 * fam.delta_star())
 
     def objective(d):
         return thm1_bound(ch, cp, d, budget, symmetric).error_ub
 
-    d_opt, _ = _coarse_then_golden(objective, 1e-6, hi)
-    return thm1_bound(ch, cp, d_opt, budget, symmetric)
+    return thm1_bound(ch, cp, _min_over_delta(objective, hi), budget, symmetric)
 
 
 def _bsc_breakpoint(p, n, log_m):
@@ -343,6 +315,43 @@ def zchannel_closed_form(p: float, t: chn.InputType, n: int, M=None,
 # analytic variants (tilted sandwich / central-limit forms)
 # ---------------------------------------------------------------------------
 
+# defect is the type-class defect of the fixed-composition ensemble (0 for
+# the parity-check ensemble); f0 the puncturing factor (1 when it is absent).
+
+def _tilted_rate(n, cap, delta, rate_value, lam, xi_upper, defect=0.0):
+    """Tilted-form rate C - delta - r(delta) + (ln(lambda xi) - defect)/n."""
+    return cap - delta - rate_value + (math.log(lam * xi_upper) - defect) / n
+
+
+def _tilted_error(n, rate_value, lam, xi_upper, f0=1.0):
+    """Tilted-form error (f0 + lambda) xi exp(-n r(delta))."""
+    return (f0 + lam) * xi_upper * _exp(-n * rate_value)
+
+
+def _clt_rate(n, c, cap, sigma2, defect=0.0):
+    """Central-limit rate
+    C - c/sqrt(n) - ln n/(2n) - (c^2/(2 sigma^2) + ln(sqrt(2 pi) sigma) + defect)/n."""
+    return (cap - c / math.sqrt(n) - math.log(n) / (2 * n)
+            - (c * c / (2 * sigma2) + math.log(math.sqrt(2 * math.pi) * math.sqrt(sigma2))
+               + defect) / n)
+
+
+def _clt_error_terms(n, c, sigma2, m3, be_const, f0=1.0):
+    """The two terms of the central-limit error: f0 Q(c/sigma) and
+    (B m3/sigma^3 + exp(-c^2/(2 sigma^2))/(sqrt(2 pi) sigma))/sqrt(n)."""
+    sigma = math.sqrt(sigma2)
+    corr = (be_const * m3 / sigma ** 3
+            + math.exp(-c * c / (2 * sigma2)) / (math.sqrt(2 * math.pi) * sigma))
+    return f0 * q_func(c / sigma), corr / math.sqrt(n)
+
+
+def _clt_c_for_rate(n, rate_nats, cap, sigma2, defect=0.0):
+    """The c at which the central-limit rate equals rate_nats."""
+    return solve_monotone(lambda c: -_clt_rate(n, c, cap, sigma2, defect),
+                          -rate_nats, -0.9 * sigma2 * math.sqrt(n),
+                          60.0 * math.sqrt(sigma2), rtol=1e-12)
+
+
 def thm2_rate_and_error(ch, n: int, delta: float | None = None,
                         c: float | None = None,
                         symmetric: bool | None = None) -> BoundResult:
@@ -358,34 +367,27 @@ def thm2_rate_and_error(ch, n: int, delta: float | None = None,
     cap = chn.linear_capacity(ch)
     f0 = _sym_factor(ch, n, symmetric)
     if delta is not None:
-        fam = _cond_family(ch)
+        fam = nep.cond_entropy_family(ch)
         rp = nep.rate_function(fam, delta)
         lam = rp.slope_lambda
         xi = nep.xi_factors(fam, lam, n)
-        log_env = -n * rp.rate_value
-        err = (f0 + lam) * xi.upper * _exp(log_env)
-        rate = cap - delta - rp.rate_value + math.log(lam * xi.upper) / n
+        env = _exp(-n * rp.rate_value)
+        err = _tilted_error(n, rp.rate_value, lam, xi.upper, f0)
         return BoundResult(
-            theorem="thm2p1", n=n, rate_nats=rate, error_ub=min(1.0, err),
-            delta=delta, lambda_or_c=lam, tail_kind="sandwich",
-            components=(f0 * xi.upper * _exp(log_env),
-                        lam * xi.upper * _exp(log_env)),
+            theorem="thm2p1", n=n,
+            rate_nats=_tilted_rate(n, cap, delta, rp.rate_value, lam, xi.upper),
+            error_ub=min(1.0, err), delta=delta, lambda_or_c=lam,
+            tail_kind="sandwich",
+            components=(f0 * xi.upper * env, lam * xi.upper * env),
             extras={"rate_fn": rp.rate_value, "xi_upper": xi.upper})
     summary = chn.moment_summary(ch)
-    sigma = math.sqrt(summary.sigma2_h)
-    m3 = summary.m3_h
-    tail_term = f0 * q_func(c / sigma)
-    corr = (nep.BERRY_ESSEEN_IID * m3 / sigma ** 3
-            + math.exp(-c * c / (2 * summary.sigma2_h)) / (math.sqrt(2 * math.pi) * sigma))
-    err = tail_term + corr / math.sqrt(n)
-    rate = (cap - c / math.sqrt(n) - math.log(n) / (2 * n)
-            - (c * c / (2 * summary.sigma2_h)
-               + math.log(math.sqrt(2 * math.pi) * sigma)) / n)
+    tail_term, corr = _clt_error_terms(n, c, summary.sigma2_h, summary.m3_h,
+                                       nep.BERRY_ESSEEN_IID, f0)
     return BoundResult(
-        theorem="thm2p2", n=n, rate_nats=rate, error_ub=min(1.0, err),
-        delta=c / math.sqrt(n), lambda_or_c=c, tail_kind="clt",
-        components=(tail_term, corr / math.sqrt(n)),
-        extras={"sigma_h": sigma})
+        theorem="thm2p2", n=n, rate_nats=_clt_rate(n, c, cap, summary.sigma2_h),
+        error_ub=min(1.0, tail_term + corr), delta=c / math.sqrt(n),
+        lambda_or_c=c, tail_kind="clt", components=(tail_term, corr),
+        extras={"sigma_h": math.sqrt(summary.sigma2_h)})
 
 
 def thm2_part2_at_rate(ch, n: int, rate_nats: float,
@@ -400,16 +402,9 @@ def thm2_part2_at_rate(ch, n: int, rate_nats: float,
     guarantee).
     """
     summary = chn.moment_summary(ch)
-    sigma2 = summary.sigma2_h
-    sigma = math.sqrt(sigma2)
+    sigma = math.sqrt(summary.sigma2_h)
     cap = summary.linear_capacity_nats
-
-    def rate_of_c(c):
-        return (cap - c / math.sqrt(n) - math.log(n) / (2 * n)
-                - (c * c / (2 * sigma2) + math.log(math.sqrt(2 * math.pi) * sigma)) / n)
-
-    c_lo, c_hi = -0.9 * sigma2 * math.sqrt(n), 60.0 * sigma
-    c = solve_monotone(lambda x: -rate_of_c(x), -rate_nats, c_lo, c_hi, rtol=1e-12)
+    c = _clt_c_for_rate(n, rate_nats, cap, summary.sigma2_h)
     delta = c / math.sqrt(n)
     analytic = thm2_rate_and_error(ch, n, c=c, symmetric=symmetric)
     if use_exact_tail and isinstance(ch, chn.DiscreteChannel):
@@ -431,26 +426,35 @@ def thm2_part2_at_rate(ch, n: int, rate_nats: float,
         components=analytic.components, extras={"sigma_h": sigma})
 
 
-def _part1_at_rate(fam, n, rate_nats, base_factor, extra_log_term=0.0):
-    """Tilt solving rate(lambda) = rate on the decreasing branch.
+def _tilted_rate_curve(fam, n, defect=0.0):
+    """The tilted-form rate as a function of the tilt, and the largest tilt to use.
 
-    rate(lambda) rises from -inf (log lambda term), peaks, then falls as
-    the deviation and rate function grow; the useful solution is the one
-    past the peak, where the error bound is smallest.
+    The largest tilt keeps clear of the blow-up near the deviation ceiling.
     """
     cap = LN2 - fam.center if fam.family == "cond_entropy" else fam.center
 
     def rate(lam):
         st = fam.tilted_stats(lam)
         xi = nep.xi_factors(fam, lam, n)
-        return (cap - st.delta - fam.rate_value(st)
-                + (math.log(lam * xi.upper) + extra_log_term) / n)
+        return _tilted_rate(n, cap, st.delta, fam.rate_value(st), lam, xi.upper,
+                            defect)
 
     lam_hi = min(fam.lambda_cap, 1e6)
     if fam.delta_star() < math.inf:
         while fam.tilted_stats(lam_hi).delta > 0.995 * fam.delta_star() \
                 and lam_hi > 1.0:
             lam_hi /= 2.0
+    return rate, lam_hi
+
+
+def _part1_at_rate(fam, n, rate_nats, defect=0.0):
+    """Tilt solving rate(lambda) = rate on the decreasing branch.
+
+    rate(lambda) rises from -inf (log lambda term), peaks, then falls as
+    the deviation and rate function grow; the useful solution is the one
+    past the peak, where the error bound is smallest.
+    """
+    rate, lam_hi = _tilted_rate_curve(fam, n, defect)
     grid = np.geomspace(1e-6, lam_hi, 128)
     rates = [rate(l) for l in grid]
     i_peak = int(np.argmax(rates))
@@ -458,16 +462,15 @@ def _part1_at_rate(fam, n, rate_nats, base_factor, extra_log_term=0.0):
         raise InfeasibleRateError(
             f"rate {rate_nats} exceeds the largest certifiable rate "
             f"{rates[i_peak]:.6g} at n={n}")
-    lam = solve_monotone(lambda l: -rate(l), -rate_nats,
-                         grid[i_peak], lam_hi, rtol=1e-11)
-    return lam
+    return solve_monotone(lambda l: -rate(l), -rate_nats,
+                          grid[i_peak], lam_hi, rtol=1e-11)
 
 
 def thm2_part1_at_rate(ch, n: int, rate_nats: float,
                        symmetric: bool | None = None) -> BoundResult:
     """Tilted-form bound at a prescribed rate below the certifiable peak."""
-    fam = _cond_family(ch)
-    lam = _part1_at_rate(fam, n, rate_nats, _sym_factor(ch, n, symmetric))
+    fam = nep.cond_entropy_family(ch)
+    lam = _part1_at_rate(fam, n, rate_nats)
     st = fam.tilted_stats(lam)
     out = thm2_rate_and_error(ch, n, delta=st.delta, symmetric=symmetric)
     out.rate_nats = rate_nats
@@ -488,8 +491,7 @@ def thm3_bound(ch, cp: CodeParams, delta: float,
     n, rate, t = cp.n, cp.rate, cp.t
     mi = chn.mutual_info(ch, t)
     pt = tail.ptdelta(ch, t, delta, n, budget)
-    log_tclass = chn.log_type_class_size(t, n)
-    correction = n * t.entropy() - log_tclass
+    correction = _type_defect(t, n)
     union = _exp(-n * (mi - delta - rate) + correction)
     tail_term = pt.pessimistic
     return BoundResult(
@@ -505,7 +507,7 @@ def thm3_optimized(ch, cp: CodeParams,
     t = cp.t
     mi = chn.mutual_info(ch, t)
     if isinstance(ch, chn.DiscreteChannel):
-        fam = _rel_family(ch, t)
+        fam = nep.rel_entropy_family(ch, t)
         hi = 0.999 * fam.delta_star()
     else:
         summary = chn.moment_summary(ch, t)
@@ -514,8 +516,7 @@ def thm3_optimized(ch, cp: CodeParams,
     def objective(d):
         return thm3_bound(ch, cp, d, budget).error_ub
 
-    d_opt, _ = _coarse_then_golden(objective, 1e-6, hi)
-    return thm3_bound(ch, cp, d_opt, budget)
+    return thm3_bound(ch, cp, _min_over_delta(objective, hi), budget)
 
 
 def thm4_rate_and_error(ch, t: chn.InputType, n: int,
@@ -525,45 +526,39 @@ def thm4_rate_and_error(ch, t: chn.InputType, n: int,
     if (delta is None) == (c is None):
         raise ValueError("give exactly one of delta or c")
     mi = chn.mutual_info(ch, t)
-    log_tclass = chn.log_type_class_size(t, n)
-    correction = n * t.entropy() - log_tclass
+    correction = _type_defect(t, n)
     if delta is not None:
-        fam = _rel_family(ch, t)
+        fam = nep.rel_entropy_family(ch, t)
         rp = nep.rate_function(fam, delta)
         lam = rp.slope_lambda
         xi = nep.xi_factors(fam, lam, n)
-        err = (1.0 + lam) * xi.upper * _exp(-n * rp.rate_value)
-        rate = (mi - delta - rp.rate_value
-                + (math.log(lam * xi.upper) - correction) / n)
+        env = _exp(-n * rp.rate_value)
+        err = _tilted_error(n, rp.rate_value, lam, xi.upper)
         return BoundResult(
-            theorem="thm4p1", n=n, rate_nats=rate, error_ub=min(1.0, err),
-            delta=delta, lambda_or_c=lam, tail_kind="sandwich",
-            components=(xi.upper * _exp(-n * rp.rate_value),
-                        lam * xi.upper * _exp(-n * rp.rate_value)),
+            theorem="thm4p1", n=n,
+            rate_nats=_tilted_rate(n, mi, delta, rp.rate_value, lam, xi.upper,
+                                   correction),
+            error_ub=min(1.0, err), delta=delta, lambda_or_c=lam,
+            tail_kind="sandwich",
+            components=(xi.upper * env, lam * xi.upper * env),
             extras={"rate_fn": rp.rate_value, "type_correction": correction})
     summary = chn.moment_summary(ch, t)
-    sigma2 = summary.sigma2_d
-    sigma = math.sqrt(sigma2)
-    tail_term = q_func(c / sigma)
-    corr = (nep.BERRY_ESSEEN_INID * summary.m3_d / sigma ** 3
-            + math.exp(-c * c / (2 * sigma2)) / (math.sqrt(2 * math.pi) * sigma))
-    err = tail_term + corr / math.sqrt(n)
-    rate = (mi - c / math.sqrt(n) - math.log(n) / (2 * n)
-            - (c * c / (2 * sigma2) + math.log(math.sqrt(2 * math.pi) * sigma)
-               + correction) / n)
+    tail_term, corr = _clt_error_terms(n, c, summary.sigma2_d, summary.m3_d,
+                                       nep.BERRY_ESSEEN_INID)
     return BoundResult(
-        theorem="thm4p2", n=n, rate_nats=rate, error_ub=min(1.0, err),
-        delta=c / math.sqrt(n), lambda_or_c=c, tail_kind="clt",
-        components=(tail_term, corr / math.sqrt(n)),
-        extras={"sigma_d": sigma, "type_correction": correction})
+        theorem="thm4p2", n=n,
+        rate_nats=_clt_rate(n, c, mi, summary.sigma2_d, correction),
+        error_ub=min(1.0, tail_term + corr), delta=c / math.sqrt(n),
+        lambda_or_c=c, tail_kind="clt", components=(tail_term, corr),
+        extras={"sigma_d": math.sqrt(summary.sigma2_d),
+                "type_correction": correction})
 
 
 def thm4_part1_at_rate(ch, t: chn.InputType, n: int,
                        rate_nats: float) -> BoundResult:
     """Tilted-form fixed-composition bound at a prescribed rate."""
-    fam = _rel_family(ch, t)
-    defect = n * t.entropy() - chn.log_type_class_size(t, n)
-    lam = _part1_at_rate(fam, n, rate_nats, 1.0, extra_log_term=-defect)
+    fam = nep.rel_entropy_family(ch, t)
+    lam = _part1_at_rate(fam, n, rate_nats, _type_defect(t, n))
     st = fam.tilted_stats(lam)
     out = thm4_rate_and_error(ch, t, n, delta=st.delta)
     out.rate_nats = rate_nats
@@ -574,18 +569,8 @@ def thm4_part2_at_rate(ch, t: chn.InputType, n: int,
                        rate_nats: float) -> BoundResult:
     """Central-limit-form fixed-composition bound at a prescribed rate."""
     summary = chn.moment_summary(ch, t)
-    sigma2 = summary.sigma2_d
-    sigma = math.sqrt(sigma2)
-    mi = summary.mutual_info_nats
-    defect = n * t.entropy() - chn.log_type_class_size(t, n)
-
-    def rate_of_c(c):
-        return (mi - c / math.sqrt(n) - math.log(n) / (2 * n)
-                - (c * c / (2 * sigma2) + math.log(math.sqrt(2 * math.pi) * sigma)
-                   + defect) / n)
-
-    c = solve_monotone(lambda x: -rate_of_c(x), -rate_nats,
-                       -0.9 * sigma2 * math.sqrt(n), 60.0 * sigma, rtol=1e-12)
+    c = _clt_c_for_rate(n, rate_nats, summary.mutual_info_nats,
+                        summary.sigma2_d, _type_defect(t, n))
     out = thm4_rate_and_error(ch, t, n, c=c)
     out.rate_nats = rate_nats
     return out
@@ -615,24 +600,7 @@ def error_exponent(ch, input_dist: chn.InputType, rate_nats: float) -> float:
     def neg(rho):
         return -(gallager_e0(ch, input_dist, rho) - rho * rate_nats)
 
-    grid = np.linspace(0.0, 1.0, 33)
-    vals = [neg(r) for r in grid]
-    i = int(np.argmin(vals))
-    a, b = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1, x2 = b - phi * (b - a), a + phi * (b - a)
-    f1, f2 = neg(x1), neg(x2)
-    best = min(vals[i], f1, f2)
-    for _ in range(60):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - phi * (b - a)
-            f1 = neg(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + phi * (b - a)
-            f2 = neg(x2)
-        best = min(best, f1, f2)
+    _, best = golden_min(neg, np.linspace(0.0, 1.0, 33), 60)
     return max(0.0, -best)
 
 
@@ -664,35 +632,15 @@ def _bisect_rate(err_of_rate, eps, lo, hi, iters=50):
     return lo
 
 
-def _part1_rate_at_eps(fam, n, eps, base_factor, extra_log_term=0.0):
-    """Largest tilted-form rate with error <= eps.
-
-    base_factor is the lambda-free part of the multiplier (puncturing
-    factor or 1); extra_log_term is added inside the 1/n rate correction
-    (the type-class defect, negated, for the fixed-composition case).
-    """
-    center = fam.center
-
+def _part1_rate_at_eps(fam, n, eps, f0, defect=0.0):
+    """Largest tilted-form rate with error <= eps."""
     def err(lam):
         st = fam.tilted_stats(lam)
         xi = nep.xi_factors(fam, lam, n)
-        return (base_factor + lam) * xi.upper * _exp(-n * fam.rate_value(st))
+        return _tilted_error(n, fam.rate_value(st), lam, xi.upper, f0)
 
-    cap = LN2 - center if fam.family == "cond_entropy" else center
-
-    def rate(lam):
-        st = fam.tilted_stats(lam)
-        xi = nep.xi_factors(fam, lam, n)
-        r = fam.rate_value(st)
-        return (cap - st.delta - r
-                + (math.log(lam * xi.upper) + extra_log_term) / n)
-
-    lam_lo, lam_hi = 1e-8, min(fam.lambda_cap, 1e6)
-    if fam.delta_star() < math.inf:
-        # keep clear of the tilt blow-up near the deviation ceiling
-        while fam.tilted_stats(lam_hi).delta > 0.995 * fam.delta_star() \
-                and lam_hi > 1.0:
-            lam_hi /= 2.0
+    rate, lam_hi = _tilted_rate_curve(fam, n, defect)
+    lam_lo = 1e-8
     if err(lam_lo) <= eps:
         lam_eps = lam_lo
     elif err(lam_hi) > eps:
@@ -707,32 +655,12 @@ def _part1_rate_at_eps(fam, n, eps, base_factor, extra_log_term=0.0):
                 hi = mid
         lam_eps = hi
     lam_hi = max(lam_hi, lam_eps * 1.001)
-    grid = np.geomspace(lam_eps, lam_hi, 96)
-    rates = [rate(l) for l in grid]
-    i = int(np.argmax(rates))
-    a = grid[max(i - 1, 0)]
-    b = grid[min(i + 1, len(grid) - 1)]
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1, x2 = b - phi * (b - a), a + phi * (b - a)
-    f1, f2 = rate(x1), rate(x2)
-    best_l, best_r = grid[i], rates[i]
-    for _ in range(50):
-        if f1 >= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - phi * (b - a)
-            f1 = rate(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + phi * (b - a)
-            f2 = rate(x2)
-        for x, fx in ((x1, f1), (x2, f2)):
-            if fx > best_r:
-                best_l, best_r = x, fx
-    return best_r, best_l, err(best_l)
+    lam, neg_rate = golden_min(lambda l: -rate(l),
+                               np.geomspace(lam_eps, lam_hi, 96), 50)
+    return -neg_rate, lam, err(lam)
 
 
-def _part2_rate_at_eps(n, eps, cap, sigma2, m3, base_factor, be_const,
-                       extra_defect=0.0):
+def _part2_rate_at_eps(n, eps, cap, sigma2, m3, f0, be_const, defect=0.0):
     """Largest central-limit-form rate with error <= eps."""
     sigma = math.sqrt(sigma2)
     floor = be_const * m3 / (sigma ** 3 * math.sqrt(n))
@@ -741,17 +669,15 @@ def _part2_rate_at_eps(n, eps, cap, sigma2, m3, base_factor, be_const,
             f"central-limit error floor {floor:.3g} exceeds target {eps}")
 
     def err(c):
-        return (base_factor * q_func(c / sigma)
-                + (be_const * m3 / sigma ** 3
-                   + math.exp(-c * c / (2 * sigma2)) / (math.sqrt(2 * math.pi) * sigma))
-                / math.sqrt(n))
+        tail_term, corr = _clt_error_terms(n, c, sigma2, m3, be_const, f0)
+        return tail_term + corr
 
-    c = solve_monotone(lambda x: -err(x), -eps, -8.0 * sigma, 60.0 * sigma,
-                       rtol=1e-12)
-    rate = (cap - c / math.sqrt(n) - math.log(n) / (2 * n)
-            - (c * c / (2 * sigma2) + math.log(math.sqrt(2 * math.pi) * sigma)
-               + extra_defect) / n)
-    return rate, c, err(c)
+    # solve_monotone stops within its tolerance on either side of its aim;
+    # aiming one tolerance below eps keeps err(c) <= eps
+    rtol = 1e-12
+    c = solve_monotone(lambda x: -err(x), -eps + rtol, -8.0 * sigma,
+                       60.0 * sigma, rtol=rtol)
+    return _clt_rate(n, c, cap, sigma2, defect), c, err(c)
 
 
 def max_rate_at_eps(ch, n: int, eps: float, method: str,
@@ -791,14 +717,12 @@ def max_rate_at_eps(ch, n: int, eps: float, method: str,
         res = thm3_optimized(ch, CodeParams(n, rate_nats=rate, t=t), budget)
         delta_opt, err, tail_kind = res.delta, res.error_ub, res.tail_kind
     elif method == "thm2p1":
-        fam = _cond_family(ch)
         rate, lam_or_c, err = _part1_rate_at_eps(
-            fam, n, eps, _sym_factor(ch, n))
+            nep.cond_entropy_family(ch), n, eps, _sym_factor(ch, n))
         tail_kind = "sandwich"
     elif method == "thm4p1":
-        fam = _rel_family(ch, t)
-        defect = n * t.entropy() - chn.log_type_class_size(t, n)
-        rate, lam_or_c, err = _part1_rate_at_eps(fam, n, eps, 1.0, -defect)
+        rate, lam_or_c, err = _part1_rate_at_eps(
+            nep.rel_entropy_family(ch, t), n, eps, 1.0, _type_defect(t, n))
         tail_kind = "sandwich"
     elif method == "thm2p2":
         rate, lam_or_c, err = _part2_rate_at_eps(
@@ -806,10 +730,9 @@ def max_rate_at_eps(ch, n: int, eps: float, method: str,
             nep.BERRY_ESSEEN_IID)
         tail_kind = "clt"
     elif method == "thm4p2":
-        defect = n * t.entropy() - chn.log_type_class_size(t, n)
         rate, lam_or_c, err = _part2_rate_at_eps(
             n, eps, cap, sigma2, summary.m3_d, 1.0,
-            nep.BERRY_ESSEEN_INID, extra_defect=defect)
+            nep.BERRY_ESSEEN_INID, _type_defect(t, n))
         tail_kind = "clt"
     elif method == "ee":
         dist = t if t is not None else chn.InputType.uniform(

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .numkit import LOG_SQRT_2PI, gauss_hermite
+from .numkit import LOG_SQRT_2PI, central_moments, gauss_hermite
 
 _ROW_SUM_TOL = 1e-12
 
@@ -348,14 +348,6 @@ def mutual_info(ch: ChannelModel, t: InputType, order: int | None = None) -> flo
     return float(sum(tf[x] * divs[x] for x in t.support))
 
 
-def _central_moments(values, probs):
-    mean = float(probs @ values)
-    dev = values - mean
-    var = float(probs @ dev ** 2)
-    m3 = float(probs @ np.abs(dev) ** 3)
-    return mean, var, m3
-
-
 def moment_summary(ch: ChannelModel, t: InputType | None = None,
                    order: int | None = None) -> InfoSummary:
     """First three moments of both single-letter statistics.
@@ -374,7 +366,7 @@ def moment_summary(ch: ChannelModel, t: InputType | None = None,
             a = ch.amplitude
             y = rule.gaussian_nodes(mean=a)
             v, p = _biawgn_neglog_posterior(a, y), rule.gaussian_weights
-        h, s2h, m3h = _central_moments(v, p)
+        h, s2h, m3h = central_moments(v, p)
         cl = math.log(2.0) - h
 
     mi = divs = s2d = m3d = None
@@ -397,7 +389,7 @@ def moment_summary(ch: ChannelModel, t: InputType | None = None,
                 y = rule.gaussian_nodes(mean=s)
                 u = ch.log_likelihood(y, x) - biawgn_log_mixture(ch, t, y)
                 w = rule.gaussian_weights
-            _, var_x, m3_x = _central_moments(u, w)
+            _, var_x, m3_x = central_moments(u, w)
             s2d += tf[x] * var_x
             m3d += tf[x] * m3_x
         if s2d <= 1e-14:

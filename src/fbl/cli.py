@@ -2,21 +2,21 @@
 
 Output is CSV only (UTF-8, comma separated, '.' decimal, header row
 always present); plotting is left to external tools. Rates are accepted
-in bits and reported in both bits and nats. Grid points are dispatched
-to a thread pool sized by the FBL_THREADS environment variable; rows
-are emitted in grid order, so output bytes do not depend on the pool
-size.
+in bits and reported in both bits and nats. Curve commands evaluate
+their grid in order, one point after another.
 
 Exit codes: 0 success, 2 malformed request (single-line diagnostic on
-stderr), 3 infeasible bound request.
+stderr), 3 infeasible bound request. A curve command (compare,
+rate-vs-n, error-vs-rate) still writes every row when some grid points
+are infeasible: such a row keeps its inputs, leaves its computed columns
+empty and has tail_kind=infeasible, each one adds an 'infeasible:' line
+on stderr, and the command exits 3.
 """
 
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import achievability as ach
@@ -140,19 +140,24 @@ def _bound_row(res: ach.BoundResult, ci=("", "")):
             res.tail_kind]
 
 
-def _threads() -> int:
-    env = os.environ.get("FBL_THREADS", "")
-    if env:
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
+def _write_curve(points, evaluate, output) -> int:
+    """Evaluate (theorem, n, rate_nats or None) points in order and write the rows.
 
-
-def _map_grid(fn, items):
-    n = _threads()
-    if n == 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
+    An infeasible point keeps its inputs, leaves the computed columns
+    empty and is flagged tail_kind=infeasible; the exit code is then 3.
+    """
+    rows, code = [], 0
+    for theorem, n, rate in points:
+        try:
+            rows.append(_bound_row(evaluate(theorem, n, rate)))
+        except ach.InfeasibleRateError as exc:
+            print(f"infeasible: {theorem} at n={n}: {exc}", file=sys.stderr)
+            rate_bits = None if rate is None else rate / LN2
+            rows.append([n, rate_bits, rate, "", "", "", theorem, "", "",
+                         "infeasible"])
+            code = 3
+    write_csv(rows, BOUND_HEADER, output)
+    return code
 
 
 def _resolve_rate(args, ch, t) -> float:
@@ -269,15 +274,12 @@ def cmd_rate_vs_n(args):
     bounds = args.bounds.split(",")
     grid = parse_grid(args.n)
     budget = tail.TailBudget(mc_samples=args.mc_samples, seed=args.seed)
-    points = [(b, n) for b in bounds for n in grid]
 
-    def eval_point(point):
-        b, n = point
+    def evaluate(b, n, _):
         return ach.max_rate_at_eps(ch, n, args.eps, b, t=t, budget=budget)
 
-    rows = [_bound_row(r) for r in _map_grid(eval_point, points)]
-    write_csv(rows, BOUND_HEADER, args.output)
-    return 0
+    return _write_curve([(b, n, None) for b in bounds for n in grid],
+                        evaluate, args.output)
 
 
 def cmd_error_vs_rate(args):
@@ -285,15 +287,9 @@ def cmd_error_vs_rate(args):
     t = parse_type(args.type) if args.type else None
     bounds = args.bounds.split(",")
     rates_bits = parse_float_grid(args.rates)
-    points = [(b, rb) for b in bounds for rb in rates_bits]
-
-    def eval_point(point):
-        b, rb = point
-        return _eval_bound(ch, args, t, b, args.n, rb * LN2)
-
-    rows = [_bound_row(r) for r in _map_grid(eval_point, points)]
-    write_csv(rows, BOUND_HEADER, args.output)
-    return 0
+    return _write_curve([(b, args.n, rb * LN2) for b in bounds for rb in rates_bits],
+                        lambda b, n, rate: _eval_bound(ch, args, t, b, n, rate),
+                        args.output)
 
 
 def cmd_nep(args):
@@ -320,8 +316,7 @@ def cmd_nep(args):
                 clt.lower, clt.upper, clt.flags["in_regime"],
                 sandwich.flags["rate"], sandwich.flags["lambda"], exact_kind]
 
-    rows = _map_grid(eval_point, deltas)
-    write_csv(rows, NEP_HEADER, args.output)
+    write_csv([eval_point(d) for d in deltas], NEP_HEADER, args.output)
     return 0
 
 

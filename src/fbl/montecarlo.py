@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channel as chn
+from .numkit import philox_rng
 from .tail import wilson_interval
 
 GALLAGER_N_CAP = 24
@@ -106,7 +107,7 @@ def sample_gallager(n: int, k: int, seed: int,
     if not 1 <= k < n <= GALLAGER_N_CAP:
         raise ValueError(f"need 1 <= k < n <= {GALLAGER_N_CAP}, got n={n}, k={k}")
     if rng is None:
-        rng = _trial_rng(seed, 0)
+        rng = philox_rng(seed, 0)
     bits = rng.integers(0, 2, size=(n - k, n), dtype=np.int64)
     weights = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
     rows = [int(r) for r in bits @ weights]
@@ -204,11 +205,6 @@ def _jar_threshold(ch, jar_kind, delta):
     return -chn.mutual_info(ch, jar_kind[1]) + delta
 
 
-def _trial_rng(seed: int, shard_index: int) -> np.random.Generator:
-    key = np.array([seed % (2 ** 64), shard_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def _transmit(ch, x_bits, rng):
     n = x_bits.size
     if isinstance(ch, chn.DiscreteChannel):
@@ -257,7 +253,7 @@ def simulate_pe(ch, spec, delta: float, trials: int, seed: int,
     shard_index = 0
     while done < trials:
         m = min(_SHARD, trials - done)
-        rng = _trial_rng(seed, shard_index)
+        rng = philox_rng(seed, shard_index)
         for _ in range(m):
             if isinstance(spec, GallagerSpec):
                 code = sample_gallager(n, k, seed, rng=rng)

@@ -18,14 +18,15 @@ representable.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import logsumexp
 
 from . import channel as chn
 from .estimates import TailEstimate
-from .numkit import (composite_gauss_legendre, q_func, q_inv,
-                     scaled_gauss_tail, solve_monotone)
+from .numkit import (central_moments, composite_gauss_legendre, q_func,
+                     q_inv, scaled_gauss_tail, solve_monotone)
 
 # Berry-Esseen constants: i.i.d. summands vs independent non-identical.
 BERRY_ESSEEN_IID = 0.4784
@@ -76,12 +77,7 @@ def _tilted_discrete(logp, values, lam, sign):
     """
     logw = logp + sign * lam * values
     log_z = float(logsumexp(logw))
-    p = np.exp(logw - log_z)
-    mean = float(p @ values)
-    dev = values - mean
-    var = float(p @ dev ** 2)
-    m3 = float(p @ np.abs(dev) ** 3)
-    return log_z, mean, var, m3
+    return (log_z, *central_moments(values, np.exp(logw - log_z)))
 
 
 def _biawgn_tilted(center, lam_shift, log_tilt, value_fn):
@@ -97,13 +93,7 @@ def _biawgn_tilted(center, lam_shift, log_tilt, value_fn):
     log_base = -0.5 * (y - center) ** 2 - 0.5 * math.log(2.0 * math.pi)
     logw = log_base + np.log(w) + log_tilt(y)
     log_z = float(logsumexp(logw))
-    p = np.exp(logw - log_z)
-    values = value_fn(y)
-    mean = float(p @ values)
-    dev = values - mean
-    var = float(p @ dev ** 2)
-    m3 = float(p @ np.abs(dev) ** 3)
-    return log_z, mean, var, m3
+    return (log_z, *central_moments(value_fn(y), np.exp(logw - log_z)))
 
 
 class TiltFamily:
@@ -267,16 +257,16 @@ class TiltFamily:
         return self.tilted_stats(lam)
 
 
+# One family per (channel, composition): achievability, the tail dispatch
+# and the CLI share it and its lambda cache. Channels hash by identity.
+@lru_cache(maxsize=64)
 def cond_entropy_family(ch, be_const=None) -> TiltFamily:
     return TiltFamily("cond_entropy", ch, be_const=be_const)
 
 
+@lru_cache(maxsize=64)
 def rel_entropy_family(ch, t: chn.InputType, be_const=None) -> TiltFamily:
     return TiltFamily("rel_entropy", ch, t, be_const=be_const)
-
-
-def tilted_stats(fam: TiltFamily, lam: float) -> TiltedStats:
-    return fam.tilted_stats(lam)
 
 
 def rate_function(fam: TiltFamily, delta: float) -> RatePoint:

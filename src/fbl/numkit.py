@@ -1,5 +1,6 @@
 """Shared numeric utilities: Gaussian tails, log-domain combinatorics,
-monotone root finding and quadrature rules.
+monotone root finding, golden-section minimization, weighted moments,
+quadrature rules and the counter-based random generator.
 
 Everything here is a pure function of its arguments; all probability
 work is done in the log domain so callers can chain results at block
@@ -122,6 +123,62 @@ def solve_monotone(f, target: float, lo: float, hi: float,
         if hi - lo <= xtol * max(1.0, abs(mid)):
             break
     return 0.5 * (lo + hi)
+
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_min(f, grid, iters: int):
+    """Minimize f: best point of a coarse grid, then golden section around it.
+
+    The section runs on the bracket formed by the grid neighbours of the
+    best grid point. The best point seen is kept with a strict <, so on
+    ties (common for piecewise-constant objectives) the first best grid
+    point wins, then the probes in the order checked: after each
+    iteration the left probe before the right one. For iters >= 1 the
+    result is the smallest value f returned. Maximize by minimizing -f,
+    which is exact. Returns (x, f(x)).
+    """
+    vals = [f(x) for x in grid]
+    i = int(np.argmin(vals))
+    a = grid[max(i - 1, 0)]
+    b = grid[min(i + 1, len(grid) - 1)]
+    x1 = b - _GOLDEN * (b - a)
+    x2 = a + _GOLDEN * (b - a)
+    f1, f2 = f(x1), f(x2)
+    best_x, best_f = grid[i], vals[i]
+    for _ in range(iters):
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _GOLDEN * (b - a)
+            f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _GOLDEN * (b - a)
+            f2 = f(x2)
+        for x, fx in ((x1, f1), (x2, f2)):
+            if fx < best_f:
+                best_x, best_f = x, fx
+    return best_x, best_f
+
+
+def central_moments(values, probs):
+    """Mean, variance and E|X - mean|^3 of weighted atoms (probs sum to 1)."""
+    mean = float(probs @ values)
+    dev = values - mean
+    var = float(probs @ dev ** 2)
+    m3 = float(probs @ np.abs(dev) ** 3)
+    return mean, var, m3
+
+
+def philox_rng(seed: int, index: int) -> np.random.Generator:
+    """Counter-based generator keyed by (seed, index).
+
+    Each shard of a sampling loop gets its own key, so results do not
+    depend on how shards are scheduled.
+    """
+    key = np.array([seed % (2 ** 64), index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 @dataclass(frozen=True)

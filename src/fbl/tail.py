@@ -23,7 +23,7 @@ from scipy.special import logsumexp
 from . import channel as chn
 from . import nep
 from .estimates import TailEstimate
-from .numkit import q_inv, rationalize_step
+from .numkit import philox_rng, q_inv, rationalize_step
 
 _WILSON_Z99 = q_inv(0.005)
 _MERGE_TOL = 1e-12
@@ -212,12 +212,6 @@ def wilson_interval(hits: int, trials: int, z: float = _WILSON_Z99):
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _shard_rng(seed: int, shard_index: int) -> np.random.Generator:
-    """Counter-based generator for one shard; stable for any worker count."""
-    key = np.array([seed % (2 ** 64), shard_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def mc_tail(ls: LatticeSpec, n: int, threshold: float, samples: int,
             seed: int, side: str = "gt", shard: int = 65536) -> TailEstimate:
     """Monte-Carlo tail estimate with a 99% Wilson interval.
@@ -239,7 +233,7 @@ def mc_tail_rows(rows, threshold: float, samples: int, seed: int,
     shard_index = 0
     while done < samples:
         m = min(shard, samples - done)
-        rng = _shard_rng(seed, shard_index)
+        rng = philox_rng(seed, shard_index)
         total = np.zeros(m)
         for ls, cnt in rows:
             if ls.values.size == 1:
@@ -291,9 +285,7 @@ def pdelta(ch, delta: float, n: int,
     """
     budget = budget or TailBudget()
     if isinstance(ch, chn.BiAwgn):
-        fam = nep.cond_entropy_family(ch)
-        est = nep.tail_bounds(fam, delta, n)
-        return est
+        return nep.tail_bounds(nep.cond_entropy_family(ch), delta, n)
     spec = cond_entropy_spec(ch)
     h = chn.cond_entropy(ch)
     threshold = n * (h + delta)
@@ -314,8 +306,7 @@ def ptdelta(ch, t: chn.InputType, delta: float, n: int,
     """
     budget = budget or TailBudget()
     if isinstance(ch, chn.BiAwgn):
-        fam = nep.rel_entropy_family(ch, t)
-        return nep.tail_bounds(fam, delta, n)
+        return nep.tail_bounds(nep.rel_entropy_family(ch, t), delta, n)
     rows = rel_entropy_rows(ch, t, n)
     mi = chn.mutual_info(ch, t)
     threshold = n * (mi - delta)

@@ -28,7 +28,7 @@ from fbl import achievability as ach
 from fbl import channel as chn
 from fbl import montecarlo as mc
 from fbl import nep, tail
-from fbl.numkit import q_inv
+from fbl.numkit import philox_rng, q_inv
 
 LN2 = math.log(2.0)
 UNIF = chn.InputType.uniform(2)
@@ -184,7 +184,7 @@ def test_criterion_7_simulation_soundness():
     shard_idx = 0
     while done < trials:
         m = min(4096, trials - done)
-        rng = mc._trial_rng(99, shard_idx)
+        rng = philox_rng(99, shard_idx)
         for _ in range(m):
             code = mc.sample_gallager(8, 4, 99, rng=rng)
             q = int(rng.integers(1, len(code.codewords)))

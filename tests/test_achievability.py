@@ -347,6 +347,19 @@ class TestMaxRateAtEps:
             res = ach.max_rate_at_eps(ch, 1000, eps, method)
             assert res.error_ub <= eps * (1 + 1e-6)
 
+    @pytest.mark.parametrize("eps", [0.1, 0.2])
+    @pytest.mark.parametrize("ch, method, t", [
+        (chn.bsc(0.11), "thm2p2", None),
+        (chn.BiAwgn(1.0), "thm2p2", None),
+        (chn.zchannel(0.5), "thm4p2", UNIF),
+    ], ids=["bsc-thm2p2", "biawgn-thm2p2", "z-thm4p2"])
+    def test_central_limit_rows_meet_target(self, ch, method, t, eps):
+        # the c solve stops within its tolerance; it must stop on the safe side
+        over = [(n, res.error_ub) for n in range(1000, 8001, 250)
+                for res in [ach.max_rate_at_eps(ch, n, eps, method, t=t)]
+                if res.error_ub > eps * (1 + 1e-12)]
+        assert over == []
+
     def test_fixed_type_methods(self):
         ch = chn.zchannel(0.5)
         for method in ("thm3", "thm4p1"):

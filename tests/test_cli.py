@@ -15,7 +15,6 @@ LN2 = math.log(2.0)
 
 def run_cli(args, env_extra=None):
     env = dict(os.environ)
-    env.setdefault("FBL_THREADS", "1")
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -155,6 +154,39 @@ class TestCurveCommands:
         assert len(rows) == 6
         errs = [float(row["error_ub"]) for row in rows if row["theorem"] == "thm1"]
         assert errs[0] < errs[1] < errs[2]
+
+    def test_infeasible_point_keeps_the_other_rows(self):
+        base = ["error-vs-rate", "--channel", "z:0.5", "--type", "0.5,0.5",
+                "--n", "500"]
+        r = run_cli(base + ["--rates", "0.1:0.3:0.05",
+                            "--bounds", "thm4p1,thm4p2,thm3"])
+        assert r.returncode == 3
+        err = r.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("infeasible: thm4p1")
+        lines = r.stdout.splitlines()
+        assert len(lines) == 16
+        flagged = [ln for ln in lines if ln.endswith(",infeasible")]
+        assert flagged == ["500,0.3,0.207944154168,,,,thm4p1,,,infeasible"]
+        # every feasible row is byte for byte what runs without that point give
+        thm4p1 = run_cli(base + ["--rates", "0.1:0.25:0.05", "--bounds", "thm4p1"])
+        rest = run_cli(base + ["--rates", "0.1:0.3:0.05", "--bounds", "thm4p2,thm3"])
+        assert thm4p1.returncode == rest.returncode == 0
+        feasible = [ln for ln in lines if ln not in flagged]
+        assert feasible == (thm4p1.stdout.splitlines()
+                            + rest.stdout.splitlines()[1:])
+
+    def test_compare_flags_infeasible_rows_in_grid_order(self):
+        r = run_cli(["compare", "--channel", "bsc:0.11", "--eps", "1e-3",
+                     "--n", "200:600:200", "--bounds", "thm1,thm2p2"])
+        assert r.returncode == 3
+        assert len(r.stderr.splitlines()) == 3
+        _, rows = parse_csv(r.stdout)
+        assert [(row["theorem"], row["n"], row["tail_kind"]) for row in rows] == [
+            ("thm1", "200", "exact"), ("thm1", "400", "exact"),
+            ("thm1", "600", "exact"), ("thm2p2", "200", "infeasible"),
+            ("thm2p2", "400", "infeasible"), ("thm2p2", "600", "infeasible")]
+        assert all(row[col] == "" for row in rows[3:]
+                   for col in ("rate_bits", "rate_nats", "error_ub", "delta"))
 
     def test_thread_count_does_not_change_bytes(self):
         args = ["compare", "--channel", "bsc:0.11", "--eps", "1e-3",

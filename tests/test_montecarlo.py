@@ -6,6 +6,7 @@ import pytest
 from fbl import achievability as ach
 from fbl import channel as chn
 from fbl import montecarlo as mc
+from fbl.numkit import philox_rng
 
 UNIF = chn.InputType.uniform(2)
 
@@ -150,7 +151,7 @@ class TestSimulatePe:
         assert rep.ties_broken <= rep.errors
 
     def test_fixed_type_codebook_composition(self):
-        rng = mc._trial_rng(4, 0)
+        rng = philox_rng(4, 0)
         book = mc._sample_fixed_type(UNIF, 10, 16, rng)
         assert book.shape == (16, 10)
         assert np.all(book.sum(axis=1) == 5)

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from fbl.numkit import (BracketError, composite_gauss_legendre, gauss_hermite,
-                        log_binom, log_q, q_func, q_inv, rationalize_step,
-                        scaled_gauss_tail, solve_monotone)
+                        golden_min, log_binom, log_q, q_func, q_inv,
+                        rationalize_step, scaled_gauss_tail, solve_monotone)
 
 
 def gaussian_tail_oracle(x):
@@ -120,6 +122,65 @@ class TestSolveMonotone:
     def test_bracket_error(self):
         with pytest.raises(BracketError):
             solve_monotone(lambda x: x, 5.0, 0.0, 1.0)
+
+
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def recorded(f):
+    """f, plus the list of every value it returned, in call order."""
+    seen = []
+
+    def g(x):
+        seen.append(f(x))
+        return seen[-1]
+    return g, seen
+
+
+class TestGoldenMin:
+    @settings(deadline=None)
+    @given(center=st.floats(0.0, 1.0), power=st.floats(1.0, 3.0),
+           left=st.floats(0.1, 10.0), right=st.floats(0.1, 10.0),
+           points=st.integers(3, 64), iters=st.integers(1, 40))
+    def test_unimodal(self, center, power, left, right, points, iters):
+        def f(x):
+            d = x - center
+            return (left if d < 0 else right) * abs(d) ** power
+
+        grid = np.linspace(0.0, 1.0, points)
+        g, seen = recorded(f)
+        x, fx = golden_min(g, grid, iters)
+        assert fx == f(x) == min(seen)
+        assert fx <= min(f(p) for p in grid)
+        # the section starts on the grid neighbours of the best grid point
+        # and shrinks that bracket by the golden ratio per iteration
+        width = 2.0 / (points - 1) * GOLDEN ** iters
+        assert abs(x - center) <= width * (1 + 1e-9) + 1e-15
+
+    @settings(deadline=None)
+    @given(breaks=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12),
+           levels=st.lists(st.integers(0, 3), min_size=13, max_size=13),
+           points=st.integers(3, 64), iters=st.integers(1, 40))
+    def test_step_function(self, breaks, levels, points, iters):
+        breaks = np.sort(breaks)
+
+        def f(x):
+            return float(levels[int(np.searchsorted(breaks, x))])
+
+        g, seen = recorded(f)
+        x, fx = golden_min(g, np.geomspace(1e-6, 1.0, points), iters)
+        assert fx == f(x) == min(seen)
+
+    def test_ties_keep_the_earliest_grid_point(self):
+        grid = np.linspace(0.0, 1.0, 9)
+        assert golden_min(lambda x: 0.0, grid, 20) == (grid[0], 0.0)
+        x, _ = golden_min(lambda x: 0.0 if 0.3 < x < 0.7 else 1.0, grid, 20)
+        assert x == grid[3]
+
+    def test_maximize_by_negation(self):
+        x, neg = golden_min(lambda r: -(math.sin(3 * r)), np.linspace(0, 1, 17), 60)
+        assert x == pytest.approx(math.pi / 6, abs=1e-7)
+        assert -neg == pytest.approx(1.0, abs=1e-15)
 
 
 class TestQuadrature:
