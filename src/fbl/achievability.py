@@ -1,10 +1,11 @@
 """Achievability bounds for the two random code ensembles.
 
-Covers the parity-check-ensemble bound (tail + union term) with its
-analytic tilted/central-limit variants, the fixed-composition ensemble
-bound with the type-class correction, exact closed forms for the BSC,
-BEC and Z channels, a random-coding error-exponent baseline, and the
-rate inversions used to draw rate-vs-blocklength curves.
+The paper proves each bound for the random parity-check ensemble (thm1,
+thm2) and again for the fixed-composition ensemble (thm3, thm4); the
+proofs differ only in what an `Ensemble` record holds, so each bound is
+written once over it. `THEOREMS`, the theorem table, maps every bound
+name (those, the BSC, BEC and Z closed forms and the error-exponent
+baseline `ee`) to its ensemble, error-at-rate and rate-at-eps.
 
 Rates are nats per channel use internally; the CLI converts to bits.
 Every reported error bound is clamped to [0, 1]; the pre-clamp tail and
@@ -13,14 +14,16 @@ union components are kept on the result for auditing.
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from . import channel as chn
 from . import nep, tail
-from .numkit import (composite_gauss_legendre, golden_min, log_binom, q_func,
-                     q_inv, solve_monotone)
+from .numkit import (BracketError, composite_gauss_legendre, golden_min, log_binom,
+                     q_func, q_inv, solve_monotone)
 
 LN2 = math.log(2.0)
 
@@ -76,55 +79,112 @@ class BoundResult:
         return self.rate_nats / LN2
 
 
-def _sym_factor(ch, n, symmetric=None) -> float:
-    """Zero-message puncturing factor; drops to 1 for symmetric channels."""
-    sym = chn.is_symmetric(ch) if symmetric is None else symmetric
-    if sym:
-        return 1.0
-    return 1.0 / (1.0 - 2.0 ** (-n)) if n < 1060 else 1.0
-
-
-def _type_defect(t, n) -> float:
-    """n H(t) - ln |type class of t|: what the fixed-composition bounds lose
-    against an i.i.d. codebook."""
-    return n * t.entropy() - chn.log_type_class_size(t, n)
-
-
 def _exp(x: float) -> float:
     return math.exp(x) if x < 700.0 else math.inf
 
 
 # ---------------------------------------------------------------------------
-# parity-check ensemble: tail + union bound and its closed forms
+# the two ensembles
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class Ensemble:
+    """What the parity-check and fixed-composition bounds differ in, at length n.
+
+    family() is the tilt family of the decoding statistic (conditional or
+    relative entropy); its sigma2, m3 and be_const are the h or d moments
+    and the i.i.d. or non-identical Berry-Esseen constant. It is built on
+    first use, so tail + union alone never needs the moments. tail(delta,
+    n, budget) is tail.pdelta or tail.ptdelta.
+    """
+    names: tuple        # (tail + union, tilted, central-limit) theorem names
+    ch: object
+    n: int
+    capacity: float     # linear capacity, or I(t;P)
+    f0: float           # puncturing factor; 1 if symmetric or fixed composition
+    defect: float       # n H(t) - ln |T_t|; 0 for the parity-check ensemble
+    family: Callable[[], nep.TiltFamily]
+    tail: Callable
+    # On a discrete channel the deviation search stops at 0.999 delta*;
+    # thm1 also caps it by the sigma rule used on continuous channels.
+    sigma_caps_lattice: bool
+
+
+def _ensemble(ch, t, n) -> Ensemble:
+    """The parity-check ensemble (t None) or the fixed-composition ensemble of type t."""
+    if t is None:
+        f0 = 1.0 if chn.is_symmetric(ch) or n >= 1060 else 1.0 / (1.0 - 2.0 ** (-n))
+        return Ensemble(("thm1", "thm2p1", "thm2p2"), ch, n, chn.linear_capacity(ch),
+                        f0, 0.0, partial(nep.cond_entropy_family, ch),
+                        partial(tail.pdelta, ch), sigma_caps_lattice=True)
+    return Ensemble(("thm3", "thm4p1", "thm4p2"), ch, n, chn.mutual_info(ch, t), 1.0,
+                    n * t.entropy() - chn.log_type_class_size(t, n),
+                    partial(nep.rel_entropy_family, ch, t),
+                    partial(tail.ptdelta, ch, t), sigma_caps_lattice=False)
+
+
+# ---------------------------------------------------------------------------
+# tail + union bound and its minimum over the deviation
+# ---------------------------------------------------------------------------
+
+def _tail_union(ens: Ensemble, rate, delta, budget=None) -> BoundResult:
+    """f0 P(deviation > delta) + exp(-n (C - delta - R) + defect).
+
+    delta may be negative (rates above capacity); the public entry points
+    reject that, the central-limit refinement needs it.
+    """
+    n = ens.n
+    pd = ens.tail(delta, n, budget)
+    tail_term = ens.f0 * pd.pessimistic
+    union = _exp(-n * (ens.capacity - delta - rate) + ens.defect)
+    return BoundResult(
+        theorem=ens.names[0], n=n, rate_nats=rate,
+        error_ub=min(1.0, tail_term + union),
+        delta=delta, tail_kind=pd.kind, components=(tail_term, union))
+
+
 def thm1_bound(ch, cp: CodeParams, delta: float,
-               budget: tail.TailBudget | None = None,
-               symmetric: bool | None = None) -> BoundResult:
+               budget: tail.TailBudget | None = None) -> BoundResult:
     """Tail + union bound for the parity-check ensemble at deviation delta."""
     if delta <= 0:
         raise ValueError("delta must be positive")
-    n, rate = cp.n, cp.rate
-    cap = chn.linear_capacity(ch)
-    pd = tail.pdelta(ch, delta, n, budget)
-    factor = _sym_factor(ch, n, symmetric)
-    tail_term = factor * pd.pessimistic
-    union = _exp(-n * (cap - delta - rate))
-    return BoundResult(
-        theorem="thm1", n=n, rate_nats=rate,
-        error_ub=min(1.0, tail_term + union),
-        delta=delta, tail_kind=pd.kind, components=(tail_term, union),
-        extras={"linear_capacity": cap})
+    return _tail_union(_ensemble(ch, None, cp.n), cp.rate, delta, budget)
 
 
-def _min_over_delta(objective, hi):
-    """Deviation minimizing objective on [1e-6, hi]: log grid, then golden section."""
-    return golden_min(objective, np.geomspace(1e-6, hi, 64), 60)[0]
+def thm3_bound(ch, cp: CodeParams, delta: float,
+               budget: tail.TailBudget | None = None) -> BoundResult:
+    """Tail + union bound for the fixed-composition ensemble at deviation delta."""
+    if cp.t is None:
+        raise ValueError("fixed-composition bound needs CodeParams.t")
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    return _tail_union(_ensemble(ch, cp.t, cp.n), cp.rate, delta, budget)
+
+
+def _delta_ceiling(ens: Ensemble, rate) -> float:
+    """Largest deviation the search tries."""
+    fam = ens.family()
+    hi = max(ens.capacity - rate, 0.0) + max(0.1, 2.0 * math.sqrt(fam.sigma2))
+    if not isinstance(ens.ch, chn.DiscreteChannel):
+        return hi
+    star = 0.999 * fam.delta_star()
+    return min(hi, star) if ens.sigma_caps_lattice else star
+
+
+def _optimized(ens: Ensemble, bound, cp: CodeParams, budget) -> BoundResult:
+    """bound(ch, cp, delta) minimised over delta: log grid, then golden section.
+
+    bound is the public thm1_bound or thm3_bound, called once per delta.
+    """
+    def objective(d):
+        return bound(ens.ch, cp, d, budget).error_ub
+
+    grid = np.geomspace(1e-6, _delta_ceiling(ens, cp.rate), 64)
+    return bound(ens.ch, cp, golden_min(objective, grid, 60)[0], budget)
 
 
 def thm1_optimized(ch, cp: CodeParams,
-                   budget: tail.TailBudget | None = None,
-                   symmetric: bool | None = None) -> BoundResult:
+                   budget: tail.TailBudget | None = None) -> BoundResult:
     """thm1_bound minimized over delta.
 
     For the BSC and BEC the optimum is available in closed form (the
@@ -138,19 +198,13 @@ def thm1_optimized(ch, cp: CodeParams,
     p = chn.as_bec(ch)
     if p is not None:
         return _bec_optimized(p, cp)
-    n, rate = cp.n, cp.rate
-    cap = chn.linear_capacity(ch)
-    summary = chn.moment_summary(ch)
-    sigma = math.sqrt(summary.sigma2_h)
-    hi = max(cap - rate, 0.0) + max(0.1, 2.0 * sigma)
-    if isinstance(ch, chn.DiscreteChannel):
-        fam = nep.cond_entropy_family(ch)
-        hi = min(hi, 0.999 * fam.delta_star())
+    return _optimized(_ensemble(ch, None, cp.n), thm1_bound, cp, budget)
 
-    def objective(d):
-        return thm1_bound(ch, cp, d, budget, symmetric).error_ub
 
-    return thm1_bound(ch, cp, _min_over_delta(objective, hi), budget, symmetric)
+def thm3_optimized(ch, cp: CodeParams,
+                   budget: tail.TailBudget | None = None) -> BoundResult:
+    """thm3_bound minimized over delta (coarse grid plus golden section)."""
+    return _optimized(_ensemble(ch, cp.t, cp.n), thm3_bound, cp, budget)
 
 
 def _bsc_breakpoint(p, n, log_m):
@@ -315,46 +369,69 @@ def zchannel_closed_form(p: float, t: chn.InputType, n: int, M=None,
 # analytic variants (tilted sandwich / central-limit forms)
 # ---------------------------------------------------------------------------
 
-# defect is the type-class defect of the fixed-composition ensemble (0 for
-# the parity-check ensemble); f0 the puncturing factor (1 when it is absent).
-
-def _tilted_rate(n, cap, delta, rate_value, lam, xi_upper, defect=0.0):
+def _tilted_rate(ens: Ensemble, delta, rate_value, lam, xi_upper):
     """Tilted-form rate C - delta - r(delta) + (ln(lambda xi) - defect)/n."""
-    return cap - delta - rate_value + (math.log(lam * xi_upper) - defect) / n
+    return (ens.capacity - delta - rate_value
+            + (math.log(lam * xi_upper) - ens.defect) / ens.n)
 
 
-def _tilted_error(n, rate_value, lam, xi_upper, f0=1.0):
+def _tilted_error(ens: Ensemble, rate_value, lam, xi_upper):
     """Tilted-form error (f0 + lambda) xi exp(-n r(delta))."""
-    return (f0 + lam) * xi_upper * _exp(-n * rate_value)
+    return (ens.f0 + lam) * xi_upper * _exp(-ens.n * rate_value)
 
 
-def _clt_rate(n, c, cap, sigma2, defect=0.0):
+def _tilted(ens: Ensemble, delta) -> BoundResult:
+    """Tilted-form rate and error at deviation delta (part 1)."""
+    n, fam = ens.n, ens.family()
+    rp = nep.rate_function(fam, delta)
+    lam = rp.slope_lambda
+    xi = nep.xi_factors(fam, lam, n)
+    env = _exp(-n * rp.rate_value)
+    return BoundResult(
+        theorem=ens.names[1], n=n,
+        rate_nats=_tilted_rate(ens, delta, rp.rate_value, lam, xi.upper),
+        error_ub=min(1.0, _tilted_error(ens, rp.rate_value, lam, xi.upper)),
+        delta=delta, lambda_or_c=lam, tail_kind="sandwich",
+        components=(ens.f0 * xi.upper * env, lam * xi.upper * env),
+        extras={"rate_fn": rp.rate_value, "xi_upper": xi.upper})
+
+
+def _clt_rate(ens: Ensemble, c):
     """Central-limit rate
     C - c/sqrt(n) - ln n/(2n) - (c^2/(2 sigma^2) + ln(sqrt(2 pi) sigma) + defect)/n."""
-    return (cap - c / math.sqrt(n) - math.log(n) / (2 * n)
+    n, sigma2 = ens.n, ens.family().sigma2
+    return (ens.capacity - c / math.sqrt(n) - math.log(n) / (2 * n)
             - (c * c / (2 * sigma2) + math.log(math.sqrt(2 * math.pi) * math.sqrt(sigma2))
-               + defect) / n)
+               + ens.defect) / n)
 
 
-def _clt_error_terms(n, c, sigma2, m3, be_const, f0=1.0):
+def _clt_error_terms(ens: Ensemble, c):
     """The two terms of the central-limit error: f0 Q(c/sigma) and
     (B m3/sigma^3 + exp(-c^2/(2 sigma^2))/(sqrt(2 pi) sigma))/sqrt(n)."""
-    sigma = math.sqrt(sigma2)
-    corr = (be_const * m3 / sigma ** 3
-            + math.exp(-c * c / (2 * sigma2)) / (math.sqrt(2 * math.pi) * sigma))
-    return f0 * q_func(c / sigma), corr / math.sqrt(n)
+    fam = ens.family()
+    sigma = math.sqrt(fam.sigma2)
+    corr = (fam.be_const * fam.m3 / sigma ** 3
+            + math.exp(-c * c / (2 * fam.sigma2)) / (math.sqrt(2 * math.pi) * sigma))
+    return ens.f0 * q_func(c / sigma), corr / math.sqrt(ens.n)
 
 
-def _clt_c_for_rate(n, rate_nats, cap, sigma2, defect=0.0):
-    """The c at which the central-limit rate equals rate_nats."""
-    return solve_monotone(lambda c: -_clt_rate(n, c, cap, sigma2, defect),
-                          -rate_nats, -0.9 * sigma2 * math.sqrt(n),
-                          60.0 * math.sqrt(sigma2), rtol=1e-12)
+def _central_limit(ens: Ensemble, c) -> BoundResult:
+    """Central-limit-form rate and error at c (part 2)."""
+    tail_term, corr = _clt_error_terms(ens, c)
+    return BoundResult(
+        theorem=ens.names[2], n=ens.n, rate_nats=_clt_rate(ens, c),
+        error_ub=min(1.0, tail_term + corr), delta=c / math.sqrt(ens.n),
+        lambda_or_c=c, tail_kind="clt", components=(tail_term, corr))
+
+
+def _rate_and_error(ens: Ensemble, delta, c) -> BoundResult:
+    if (delta is None) == (c is None):
+        raise ValueError("give exactly one of delta or c")
+    return _tilted(ens, delta) if delta is not None else _central_limit(ens, c)
 
 
 def thm2_rate_and_error(ch, n: int, delta: float | None = None,
-                        c: float | None = None,
-                        symmetric: bool | None = None) -> BoundResult:
+                        c: float | None = None) -> BoundResult:
     """Analytic rate/error pair for the parity-check ensemble.
 
     Exactly one of delta (tilted large-deviation form, rates away from
@@ -362,82 +439,27 @@ def thm2_rate_and_error(ch, n: int, delta: float | None = None,
     selects the variant. The returned rate is the largest rate at which
     the returned error bound is guaranteed.
     """
-    if (delta is None) == (c is None):
-        raise ValueError("give exactly one of delta or c")
-    cap = chn.linear_capacity(ch)
-    f0 = _sym_factor(ch, n, symmetric)
-    if delta is not None:
-        fam = nep.cond_entropy_family(ch)
-        rp = nep.rate_function(fam, delta)
-        lam = rp.slope_lambda
-        xi = nep.xi_factors(fam, lam, n)
-        env = _exp(-n * rp.rate_value)
-        err = _tilted_error(n, rp.rate_value, lam, xi.upper, f0)
-        return BoundResult(
-            theorem="thm2p1", n=n,
-            rate_nats=_tilted_rate(n, cap, delta, rp.rate_value, lam, xi.upper),
-            error_ub=min(1.0, err), delta=delta, lambda_or_c=lam,
-            tail_kind="sandwich",
-            components=(f0 * xi.upper * env, lam * xi.upper * env),
-            extras={"rate_fn": rp.rate_value, "xi_upper": xi.upper})
-    summary = chn.moment_summary(ch)
-    tail_term, corr = _clt_error_terms(n, c, summary.sigma2_h, summary.m3_h,
-                                       nep.BERRY_ESSEEN_IID, f0)
-    return BoundResult(
-        theorem="thm2p2", n=n, rate_nats=_clt_rate(n, c, cap, summary.sigma2_h),
-        error_ub=min(1.0, tail_term + corr), delta=c / math.sqrt(n),
-        lambda_or_c=c, tail_kind="clt", components=(tail_term, corr),
-        extras={"sigma_h": math.sqrt(summary.sigma2_h)})
+    return _rate_and_error(_ensemble(ch, None, n), delta, c)
 
 
-def thm2_part2_at_rate(ch, n: int, rate_nats: float,
-                       symmetric: bool | None = None,
-                       use_exact_tail: bool = True,
-                       budget: tail.TailBudget | None = None) -> BoundResult:
-    """Central-limit-form bound at a prescribed rate (possibly above capacity).
-
-    Solves the rate condition for c, then reports the error either from
-    the analytic form or, when the channel admits an exact deviation
-    probability, from tail + union at delta = c/sqrt(n) (tighter, same
-    guarantee).
-    """
-    summary = chn.moment_summary(ch)
-    sigma = math.sqrt(summary.sigma2_h)
-    cap = summary.linear_capacity_nats
-    c = _clt_c_for_rate(n, rate_nats, cap, summary.sigma2_h)
-    delta = c / math.sqrt(n)
-    analytic = thm2_rate_and_error(ch, n, c=c, symmetric=symmetric)
-    if use_exact_tail and isinstance(ch, chn.DiscreteChannel):
-        # the deviation may be negative above capacity; the exact lattice
-        # tail handles that case as an ordinary head probability
-        pd = tail.pdelta(ch, delta, n, budget)
-        if pd.kind == "exact":
-            f0 = _sym_factor(ch, n, symmetric)
-            union = _exp(-n * (cap - delta - rate_nats))
-            err = f0 * pd.value + union
-            return BoundResult(
-                theorem="thm2p2", n=n, rate_nats=rate_nats,
-                error_ub=min(1.0, err), delta=delta, lambda_or_c=c,
-                tail_kind="exact", components=(f0 * pd.value, union),
-                extras={"sigma_h": sigma, "analytic_error": analytic.error_ub})
-    return BoundResult(
-        theorem="thm2p2", n=n, rate_nats=rate_nats, error_ub=analytic.error_ub,
-        delta=delta, lambda_or_c=c, tail_kind="clt",
-        components=analytic.components, extras={"sigma_h": sigma})
+def thm4_rate_and_error(ch, t: chn.InputType, n: int,
+                        delta: float | None = None,
+                        c: float | None = None) -> BoundResult:
+    """Analytic rate/error pair for the fixed-composition ensemble."""
+    return _rate_and_error(_ensemble(ch, t, n), delta, c)
 
 
-def _tilted_rate_curve(fam, n, defect=0.0):
+def _tilted_rate_curve(ens: Ensemble):
     """The tilted-form rate as a function of the tilt, and the largest tilt to use.
 
     The largest tilt keeps clear of the blow-up near the deviation ceiling.
     """
-    cap = LN2 - fam.center if fam.family == "cond_entropy" else fam.center
+    fam, n = ens.family(), ens.n
 
     def rate(lam):
         st = fam.tilted_stats(lam)
         xi = nep.xi_factors(fam, lam, n)
-        return _tilted_rate(n, cap, st.delta, fam.rate_value(st), lam, xi.upper,
-                            defect)
+        return _tilted_rate(ens, st.delta, fam.rate_value(st), lam, xi.upper)
 
     lam_hi = min(fam.lambda_cap, 1e6)
     if fam.delta_star() < math.inf:
@@ -447,133 +469,73 @@ def _tilted_rate_curve(fam, n, defect=0.0):
     return rate, lam_hi
 
 
-def _part1_at_rate(fam, n, rate_nats, defect=0.0):
-    """Tilt solving rate(lambda) = rate on the decreasing branch.
+def _tilted_at_rate(ens: Ensemble, rate_nats) -> BoundResult:
+    """Tilted form at a prescribed rate below the certifiable peak.
 
     rate(lambda) rises from -inf (log lambda term), peaks, then falls as
     the deviation and rate function grow; the useful solution is the one
     past the peak, where the error bound is smallest.
     """
-    rate, lam_hi = _tilted_rate_curve(fam, n, defect)
+    rate, lam_hi = _tilted_rate_curve(ens)
     grid = np.geomspace(1e-6, lam_hi, 128)
     rates = [rate(l) for l in grid]
     i_peak = int(np.argmax(rates))
     if rates[i_peak] < rate_nats:
         raise InfeasibleRateError(
             f"rate {rate_nats} exceeds the largest certifiable rate "
-            f"{rates[i_peak]:.6g} at n={n}")
-    return solve_monotone(lambda l: -rate(l), -rate_nats,
-                          grid[i_peak], lam_hi, rtol=1e-11)
+            f"{rates[i_peak]:.6g} at n={ens.n}")
+    lam = solve_monotone(lambda l: -rate(l), -rate_nats,
+                         grid[i_peak], lam_hi, rtol=1e-11)
+    out = _tilted(ens, ens.family().tilted_stats(lam).delta)
+    out.rate_nats = rate_nats
+    return out
 
 
-def thm2_part1_at_rate(ch, n: int, rate_nats: float,
-                       symmetric: bool | None = None) -> BoundResult:
+def _clt_c_for_rate(ens: Ensemble, rate_nats):
+    """The c at which the central-limit rate equals rate_nats."""
+    sigma2 = ens.family().sigma2
+    try:
+        return solve_monotone(lambda c: -_clt_rate(ens, c), -rate_nats,
+                              -0.9 * sigma2 * math.sqrt(ens.n),
+                              60.0 * math.sqrt(sigma2), rtol=1e-12)
+    except BracketError as exc:
+        raise InfeasibleRateError(
+            f"rate {rate_nats} is outside the central-limit range at n={ens.n}") from exc
+
+
+def _clt_at_rate(ens: Ensemble, rate_nats, exact_tail=True,
+                 budget=None) -> BoundResult:
+    """Central-limit-form bound at a prescribed rate (possibly above capacity).
+
+    Solves the rate condition for c, then reports the error from the
+    analytic form or, when the channel has an exact deviation
+    probability, from tail + union at delta = c/sqrt(n). That union term
+    is the analytic exp(-c^2/(2 sigma^2))/(sqrt(2 pi n) sigma) term, and
+    Berry-Esseen bounds the exact tail by the rest: tighter, same guarantee.
+    """
+    c = _clt_c_for_rate(ens, rate_nats)
+    out = _central_limit(ens, c)
+    out.rate_nats = rate_nats
+    if exact_tail and ens.names[2] == "thm2p2" \
+            and isinstance(ens.ch, chn.DiscreteChannel):
+        exact = _tail_union(ens, rate_nats, out.delta, budget)
+        if exact.tail_kind == "exact":
+            exact.theorem, exact.lambda_or_c = out.theorem, c
+            exact.extras["analytic_error"] = out.error_ub
+            return exact
+    return out
+
+
+def thm2_part1_at_rate(ch, n: int, rate_nats: float) -> BoundResult:
     """Tilted-form bound at a prescribed rate below the certifiable peak."""
-    fam = nep.cond_entropy_family(ch)
-    lam = _part1_at_rate(fam, n, rate_nats)
-    st = fam.tilted_stats(lam)
-    out = thm2_rate_and_error(ch, n, delta=st.delta, symmetric=symmetric)
-    out.rate_nats = rate_nats
-    return out
+    return _tilted_at_rate(_ensemble(ch, None, n), rate_nats)
 
 
-# ---------------------------------------------------------------------------
-# fixed-composition ensemble
-# ---------------------------------------------------------------------------
-
-def thm3_bound(ch, cp: CodeParams, delta: float,
-               budget: tail.TailBudget | None = None) -> BoundResult:
-    """Tail + union bound for the fixed-composition ensemble at deviation delta."""
-    if cp.t is None:
-        raise ValueError("fixed-composition bound needs CodeParams.t")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    n, rate, t = cp.n, cp.rate, cp.t
-    mi = chn.mutual_info(ch, t)
-    pt = tail.ptdelta(ch, t, delta, n, budget)
-    correction = _type_defect(t, n)
-    union = _exp(-n * (mi - delta - rate) + correction)
-    tail_term = pt.pessimistic
-    return BoundResult(
-        theorem="thm3", n=n, rate_nats=rate,
-        error_ub=min(1.0, tail_term + union),
-        delta=delta, tail_kind=pt.kind, components=(tail_term, union),
-        extras={"mutual_info": mi, "type_correction": correction})
-
-
-def thm3_optimized(ch, cp: CodeParams,
-                   budget: tail.TailBudget | None = None) -> BoundResult:
-    """thm3_bound minimized over delta (coarse grid plus golden section)."""
-    t = cp.t
-    mi = chn.mutual_info(ch, t)
-    if isinstance(ch, chn.DiscreteChannel):
-        fam = nep.rel_entropy_family(ch, t)
-        hi = 0.999 * fam.delta_star()
-    else:
-        summary = chn.moment_summary(ch, t)
-        hi = max(mi - cp.rate, 0.0) + max(0.1, 2.0 * math.sqrt(summary.sigma2_d))
-
-    def objective(d):
-        return thm3_bound(ch, cp, d, budget).error_ub
-
-    return thm3_bound(ch, cp, _min_over_delta(objective, hi), budget)
-
-
-def thm4_rate_and_error(ch, t: chn.InputType, n: int,
-                        delta: float | None = None,
-                        c: float | None = None) -> BoundResult:
-    """Analytic rate/error pair for the fixed-composition ensemble."""
-    if (delta is None) == (c is None):
-        raise ValueError("give exactly one of delta or c")
-    mi = chn.mutual_info(ch, t)
-    correction = _type_defect(t, n)
-    if delta is not None:
-        fam = nep.rel_entropy_family(ch, t)
-        rp = nep.rate_function(fam, delta)
-        lam = rp.slope_lambda
-        xi = nep.xi_factors(fam, lam, n)
-        env = _exp(-n * rp.rate_value)
-        err = _tilted_error(n, rp.rate_value, lam, xi.upper)
-        return BoundResult(
-            theorem="thm4p1", n=n,
-            rate_nats=_tilted_rate(n, mi, delta, rp.rate_value, lam, xi.upper,
-                                   correction),
-            error_ub=min(1.0, err), delta=delta, lambda_or_c=lam,
-            tail_kind="sandwich",
-            components=(xi.upper * env, lam * xi.upper * env),
-            extras={"rate_fn": rp.rate_value, "type_correction": correction})
-    summary = chn.moment_summary(ch, t)
-    tail_term, corr = _clt_error_terms(n, c, summary.sigma2_d, summary.m3_d,
-                                       nep.BERRY_ESSEEN_INID)
-    return BoundResult(
-        theorem="thm4p2", n=n,
-        rate_nats=_clt_rate(n, c, mi, summary.sigma2_d, correction),
-        error_ub=min(1.0, tail_term + corr), delta=c / math.sqrt(n),
-        lambda_or_c=c, tail_kind="clt", components=(tail_term, corr),
-        extras={"sigma_d": math.sqrt(summary.sigma2_d),
-                "type_correction": correction})
-
-
-def thm4_part1_at_rate(ch, t: chn.InputType, n: int,
-                       rate_nats: float) -> BoundResult:
-    """Tilted-form fixed-composition bound at a prescribed rate."""
-    fam = nep.rel_entropy_family(ch, t)
-    lam = _part1_at_rate(fam, n, rate_nats, _type_defect(t, n))
-    st = fam.tilted_stats(lam)
-    out = thm4_rate_and_error(ch, t, n, delta=st.delta)
-    out.rate_nats = rate_nats
-    return out
-
-
-def thm4_part2_at_rate(ch, t: chn.InputType, n: int,
-                       rate_nats: float) -> BoundResult:
-    """Central-limit-form fixed-composition bound at a prescribed rate."""
-    summary = chn.moment_summary(ch, t)
-    c = _clt_c_for_rate(n, rate_nats, summary.mutual_info_nats,
-                        summary.sigma2_d, _type_defect(t, n))
-    out = thm4_rate_and_error(ch, t, n, c=c)
-    out.rate_nats = rate_nats
-    return out
+def thm2_part2_at_rate(ch, n: int, rate_nats: float,
+                       use_exact_tail: bool = True,
+                       budget: tail.TailBudget | None = None) -> BoundResult:
+    """Central-limit-form bound at a prescribed rate (possibly above capacity)."""
+    return _clt_at_rate(_ensemble(ch, None, n), rate_nats, use_exact_tail, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -632,14 +594,38 @@ def _bisect_rate(err_of_rate, eps, lo, hi, iters=50):
     return lo
 
 
-def _part1_rate_at_eps(fam, n, eps, f0, defect=0.0):
-    """Largest tilted-form rate with error <= eps."""
+def _tail_union_at_rate(ch, t, n, rate, budget=None, delta=None, **_):
+    """thm1 (t None) or thm3 at a rate: minimised over delta, or at the given delta."""
+    cp = CodeParams(n, rate_nats=rate, t=t)
+    bound, optimized = ((thm1_bound, thm1_optimized) if t is None
+                        else (thm3_bound, thm3_optimized))
+    return optimized(ch, cp, budget) if delta is None else bound(ch, cp, delta, budget)
+
+
+# Rate-at-eps entries return the row at its largest rate with error <= eps,
+# and the capacity and variance of the row's information statistic.
+
+def _tail_union_rate_at_eps(ch, t, n, eps, budget):
+    ens = _ensemble(ch, t, n)
+
+    def err(rate):
+        return _tail_union_at_rate(ch, t, n, rate, budget).error_ub
+
+    rate = _bisect_rate(err, eps, 1e-9, max(ens.capacity, 1e-3))
+    return (_tail_union_at_rate(ch, t, n, rate, budget), ens.capacity,
+            ens.family().sigma2)
+
+
+def _tilted_rate_at_eps(ch, t, n, eps, budget):
+    ens = _ensemble(ch, t, n)
+    fam = ens.family()
+
     def err(lam):
         st = fam.tilted_stats(lam)
         xi = nep.xi_factors(fam, lam, n)
-        return _tilted_error(n, fam.rate_value(st), lam, xi.upper, f0)
+        return _tilted_error(ens, fam.rate_value(st), lam, xi.upper)
 
-    rate, lam_hi = _tilted_rate_curve(fam, n, defect)
+    rate, lam_hi = _tilted_rate_curve(ens)
     lam_lo = 1e-8
     if err(lam_lo) <= eps:
         lam_eps = lam_lo
@@ -657,19 +643,22 @@ def _part1_rate_at_eps(fam, n, eps, f0, defect=0.0):
     lam_hi = max(lam_hi, lam_eps * 1.001)
     lam, neg_rate = golden_min(lambda l: -rate(l),
                                np.geomspace(lam_eps, lam_hi, 96), 50)
-    return -neg_rate, lam, err(lam)
+    res = BoundResult(theorem=ens.names[1], n=n, rate_nats=-neg_rate,
+                      error_ub=err(lam), lambda_or_c=lam, tail_kind="sandwich")
+    return res, ens.capacity, fam.sigma2
 
 
-def _part2_rate_at_eps(n, eps, cap, sigma2, m3, f0, be_const, defect=0.0):
-    """Largest central-limit-form rate with error <= eps."""
-    sigma = math.sqrt(sigma2)
-    floor = be_const * m3 / (sigma ** 3 * math.sqrt(n))
+def _clt_rate_at_eps(ch, t, n, eps, budget):
+    ens = _ensemble(ch, t, n)
+    fam = ens.family()
+    sigma = math.sqrt(fam.sigma2)
+    floor = fam.be_const * fam.m3 / (sigma ** 3 * math.sqrt(n))
     if floor >= eps:
         raise InfeasibleRateError(
             f"central-limit error floor {floor:.3g} exceeds target {eps}")
 
     def err(c):
-        tail_term, corr = _clt_error_terms(n, c, sigma2, m3, be_const, f0)
+        tail_term, corr = _clt_error_terms(ens, c)
         return tail_term + corr
 
     # solve_monotone stops within its tolerance on either side of its aim;
@@ -677,83 +666,143 @@ def _part2_rate_at_eps(n, eps, cap, sigma2, m3, f0, be_const, defect=0.0):
     rtol = 1e-12
     c = solve_monotone(lambda x: -err(x), -eps + rtol, -8.0 * sigma,
                        60.0 * sigma, rtol=rtol)
-    return _clt_rate(n, c, cap, sigma2, defect), c, err(c)
+    res = BoundResult(theorem=ens.names[2], n=n, rate_nats=_clt_rate(ens, c),
+                      error_ub=err(c), lambda_or_c=c, tail_kind="clt")
+    return res, ens.capacity, fam.sigma2
+
+
+def _ee_rate_at_eps(ch, t, n, eps, budget):
+    """The exponent reference exp(-n E_r(R)) of the input distribution t."""
+    target = -math.log(eps) / n
+    if error_exponent(ch, t, 1e-9) < target:
+        raise InfeasibleRateError("exponent target unreachable")
+    # solve_monotone stops within its tolerance on either side of its aim;
+    # aiming one tolerance above the target keeps E_r(rate) >= target, so
+    # exp(-n E_r) stays <= eps
+    rtol = 1e-10
+    rate = solve_monotone(
+        lambda r: -error_exponent(ch, t, r),
+        -target - rtol * max(1.0, target), 1e-9, chn.mutual_info(ch, t), rtol=rtol)
+    summary = chn.moment_summary(ch, t)
+    return _ee_row(ch, t, n, rate), summary.mutual_info_nats, summary.sigma2_d
+
+
+# ---------------------------------------------------------------------------
+# the theorem table
+# ---------------------------------------------------------------------------
+
+def _tilted_row(ch, t, n, rate, delta=None, **_):
+    ens = _ensemble(ch, t, n)
+    return _tilted(ens, delta) if delta is not None else _tilted_at_rate(ens, rate)
+
+
+def _clt_row(ch, t, n, rate, c=None, exact_tail=True, budget=None, **_):
+    ens = _ensemble(ch, t, n)
+    return (_central_limit(ens, c) if c is not None
+            else _clt_at_rate(ens, rate, exact_tail, budget))
+
+
+def _min_form_row(name, spec, as_channel, closed_form):
+    """bscform/becform: the closed form at M = 2^k exactly, or at ln M = n R."""
+    def row(ch, t, n, rate, k=None, dt_variant=False, **_):
+        p = as_channel(ch)
+        if p is None:
+            raise ValueError(f"{name} needs a {spec}:p channel")
+        size = {"M": 2 ** k} if k is not None else {"log_m": n * rate}
+        return BoundResult(theorem=name, n=n, rate_nats=rate, tail_kind="exact",
+                           error_ub=closed_form(p, n, dt_variant=dt_variant, **size))
+    return row
+
+
+def _zform_row(ch, t, n, rate, k=None, **_):
+    p = chn.as_zchannel(ch)
+    if p is None:
+        raise ValueError("zform needs a z:p channel")
+    err = zchannel_closed_form(p, t, n, log_m=k * LN2 if k is not None else n * rate)
+    return BoundResult(theorem="zform", n=n, rate_nats=rate, error_ub=err,
+                       tail_kind="exact")
+
+
+def _ee_row(ch, t, n, rate, **_):
+    return BoundResult(theorem="ee", n=n, rate_nats=rate,
+                       error_ub=error_exponent_baseline(ch, t, n, rate),
+                       tail_kind="exponent")
+
+
+@dataclass(frozen=True)
+class Theorem:
+    """One row of the theorem table.
+
+    ensemble: "parity" (no composition), "fixed" (needs one) or "iid" (ee:
+    the given input distribution, uniform by default). at_rate(ch, t, n,
+    rate, **options) is the error at a rate, at_eps(ch, t, n, eps, budget)
+    the rate-at-eps (see above; None: no inversion). parameter: the option
+    ("delta" or "c") that, when given, sets the row's rate instead.
+    """
+    ensemble: str
+    at_rate: Callable
+    at_eps: Callable | None = None
+    parameter: str | None = None
+
+
+THEOREMS = {
+    "thm1": Theorem("parity", _tail_union_at_rate, _tail_union_rate_at_eps),
+    "thm2p1": Theorem("parity", _tilted_row, _tilted_rate_at_eps, "delta"),
+    "thm2p2": Theorem("parity", _clt_row, _clt_rate_at_eps, "c"),
+    "thm3": Theorem("fixed", _tail_union_at_rate, _tail_union_rate_at_eps),
+    "thm4p1": Theorem("fixed", _tilted_row, _tilted_rate_at_eps, "delta"),
+    "thm4p2": Theorem("fixed", _clt_row, _clt_rate_at_eps, "c"),
+    "zform": Theorem("fixed", _zform_row),
+    "bscform": Theorem("parity", _min_form_row("bscform", "bsc", chn.as_bsc, bsc_closed_form)),
+    "becform": Theorem("parity", _min_form_row("becform", "bec", chn.as_bec, bec_closed_form)),
+    "ee": Theorem("iid", _ee_row, _ee_rate_at_eps),
+}
+
+
+def _lookup(name, ch, t):
+    """The table row of name and the input composition it uses."""
+    th = THEOREMS.get(name)
+    if th is None:
+        raise ValueError(f"unknown theorem {name!r}")
+    if th.ensemble == "parity":
+        return th, None
+    if th.ensemble == "fixed" and t is None:
+        raise ValueError(f"{name} needs an input composition")
+    if t is None:
+        t = chn.InputType.uniform(2 if isinstance(ch, chn.BiAwgn) else ch.input_size)
+    return th, t
+
+
+def bound_at_rate(name: str, ch, n: int, rate_nats: float | None,
+                  t: chn.InputType | None = None,
+                  budget: tail.TailBudget | None = None, **options) -> BoundResult:
+    """Error bound of the named table row at a rate (nats).
+
+    options: delta (thm1/thm3 at that deviation, not the optimum), the
+    row's parameter, exact_tail, k (closed forms at M = 2^k) and dt_variant.
+    """
+    th, t = _lookup(name, ch, t)
+    return th.at_rate(ch, t, n, rate_nats, budget=budget, **options)
 
 
 def max_rate_at_eps(ch, n: int, eps: float, method: str,
                     t: chn.InputType | None = None,
                     budget: tail.TailBudget | None = None) -> BoundResult:
-    """Largest rate whose optimized bound stays below eps, per method.
+    """Largest positive rate whose bound stays below eps, per table row.
 
     Also reports the square-root-law reference rate
-    C - (sigma/sqrt(n)) Qinv(eps) in extras["second_order_rate"].
+    C - (sigma/sqrt(n)) Qinv(eps) of the row's information statistic in
+    extras["second_order_rate"].
     """
     if not 0 < eps < 1:
         raise ValueError("eps must be in (0,1)")
-    fixed_type = method in ("thm3", "thm4p1", "thm4p2")
-    if fixed_type and t is None:
-        raise ValueError(f"method {method} needs an input composition")
-    if fixed_type:
-        summary = chn.moment_summary(ch, t)
-        cap, sigma2 = summary.mutual_info_nats, summary.sigma2_d
-    else:
-        summary = chn.moment_summary(ch, t) if t is not None else chn.moment_summary(ch)
-        cap, sigma2 = summary.linear_capacity_nats, summary.sigma2_h
-    ref = cap - math.sqrt(sigma2 / n) * q_inv(eps)
-    delta_opt = lam_or_c = None
-    err = None
-    tail_kind = "exact"
-
-    if method == "thm1":
-        def err_of_rate(r):
-            return thm1_optimized(ch, CodeParams(n, rate_nats=r), budget).error_ub
-        rate = _bisect_rate(err_of_rate, eps, 1e-9, max(cap, 1e-3))
-        res = thm1_optimized(ch, CodeParams(n, rate_nats=rate), budget)
-        delta_opt, err, tail_kind = res.delta, res.error_ub, res.tail_kind
-    elif method == "thm3":
-        def err_of_rate(r):
-            return thm3_optimized(ch, CodeParams(n, rate_nats=r, t=t), budget).error_ub
-        rate = _bisect_rate(err_of_rate, eps, 1e-9, max(cap, 1e-3))
-        res = thm3_optimized(ch, CodeParams(n, rate_nats=rate, t=t), budget)
-        delta_opt, err, tail_kind = res.delta, res.error_ub, res.tail_kind
-    elif method == "thm2p1":
-        rate, lam_or_c, err = _part1_rate_at_eps(
-            nep.cond_entropy_family(ch), n, eps, _sym_factor(ch, n))
-        tail_kind = "sandwich"
-    elif method == "thm4p1":
-        rate, lam_or_c, err = _part1_rate_at_eps(
-            nep.rel_entropy_family(ch, t), n, eps, 1.0, _type_defect(t, n))
-        tail_kind = "sandwich"
-    elif method == "thm2p2":
-        rate, lam_or_c, err = _part2_rate_at_eps(
-            n, eps, cap, sigma2, summary.m3_h, _sym_factor(ch, n),
-            nep.BERRY_ESSEEN_IID)
-        tail_kind = "clt"
-    elif method == "thm4p2":
-        rate, lam_or_c, err = _part2_rate_at_eps(
-            n, eps, cap, sigma2, summary.m3_d, 1.0,
-            nep.BERRY_ESSEEN_INID, _type_defect(t, n))
-        tail_kind = "clt"
-    elif method == "ee":
-        dist = t if t is not None else chn.InputType.uniform(
-            2 if isinstance(ch, chn.BiAwgn) else ch.input_size)
-        mi = chn.mutual_info(ch, dist)
-        target = -math.log(eps) / n
-        if error_exponent(ch, dist, 1e-9) < target:
-            raise InfeasibleRateError("exponent target unreachable")
-        # solve_monotone stops within its tolerance on either side of its aim;
-        # aiming one tolerance above the target keeps E_r(rate) >= target, so
-        # exp(-n E_r) stays <= eps
-        rtol = 1e-10
-        rate = solve_monotone(
-            lambda r: -error_exponent(ch, dist, r),
-            -target - rtol * max(1.0, target), 1e-9, mi, rtol=rtol)
-        err = error_exponent_baseline(ch, dist, n, rate)
-        tail_kind = "exponent"
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
-    return BoundResult(
-        theorem=method, n=n, rate_nats=rate, error_ub=err,
-        delta=delta_opt, lambda_or_c=lam_or_c, tail_kind=tail_kind,
-        extras={"second_order_rate": ref, "eps": eps})
+    th, t = _lookup(method, ch, t)
+    if th.at_eps is None:
+        raise ValueError(f"{method} has no rate-at-eps inversion")
+    res, cap, sigma2 = th.at_eps(ch, t, n, eps, budget)
+    if not res.rate_nats > 0:
+        raise InfeasibleRateError(
+            f"no positive rate meets {eps} at n={n} (best {res.rate_nats:.6g} nats)")
+    res.extras.update(second_order_rate=cap - math.sqrt(sigma2 / n) * q_inv(eps),
+                      eps=eps)
+    return res

@@ -135,29 +135,36 @@ NEP_HEADER = ["n", "delta", "family", "exact", "lower", "upper", "chernoff",
 
 
 def _bound_row(res: ach.BoundResult, ci=("", "")):
-    return [res.n, res.rate_nats / LN2, res.rate_nats, res.error_ub,
+    return [res.n, res.rate_bits, res.rate_nats, res.error_ub,
             ci[0], ci[1], res.theorem, res.delta, res.lambda_or_c,
             res.tail_kind]
 
 
-def _write_curve(points, evaluate, output) -> int:
-    """Evaluate (theorem, n, rate_nats or None) points in order and write the rows.
+def _write_curve(points, evaluate, flagged, header, output,
+                 infeasible=ach.InfeasibleRateError) -> int:
+    """Evaluate the points in order and write one row for each.
 
-    An infeasible point keeps its inputs, leaves the computed columns
-    empty and is flagged tail_kind=infeasible; the exit code is then 3.
+    A point whose evaluation raises `infeasible` gets flagged(point): a
+    label for its one 'infeasible:' line on stderr, and a row that keeps
+    its inputs, leaves the computed columns empty and ends in
+    'infeasible'. The exit code is then 3.
     """
     rows, code = [], 0
-    for theorem, n, rate in points:
+    for point in points:
         try:
-            rows.append(_bound_row(evaluate(theorem, n, rate)))
-        except ach.InfeasibleRateError as exc:
-            print(f"infeasible: {theorem} at n={n}: {exc}", file=sys.stderr)
-            rate_bits = None if rate is None else rate / LN2
-            rows.append([n, rate_bits, rate, "", "", "", theorem, "", "",
-                         "infeasible"])
+            rows.append(evaluate(*point))
+        except infeasible as exc:
+            label, row = flagged(*point)
+            print(f"infeasible: {label}: {exc}", file=sys.stderr)
+            rows.append(row)
             code = 3
-    write_csv(rows, BOUND_HEADER, output)
+    write_csv(rows, header, output)
     return code
+
+
+def _flagged_bound(theorem, n, rate):
+    return f"{theorem} at n={n}", [n, None if rate is None else rate / LN2, rate,
+                                   "", "", "", theorem, "", "", "infeasible"]
 
 
 def _resolve_rate(args, ch, t) -> float:
@@ -173,123 +180,70 @@ def _resolve_rate(args, ch, t) -> float:
         return args.rate_bits * LN2
     if args.rate_nats is not None:
         return args.rate_nats
-    base = (chn.mutual_info(ch, t) if args.theorem in _TYPE_THEOREMS
+    base = (chn.mutual_info(ch, t) if ach.THEOREMS[args.theorem].ensemble == "fixed"
             else chn.linear_capacity(ch))
     return args.rate_rel_capacity * base
 
 
-_TYPE_THEOREMS = ("thm3", "thm4p1", "thm4p2", "zform")
-
-
 def _eval_bound(ch, args, t, theorem, n, rate):
-    budget = tail.TailBudget(mc_samples=args.mc_samples, seed=args.seed)
-    if theorem == "thm1":
-        cp = ach.CodeParams(n, rate_nats=rate)
-        if args.delta is not None:
-            return ach.thm1_bound(ch, cp, args.delta, budget)
-        return ach.thm1_optimized(ch, cp, budget)
-    if theorem == "thm2p1":
-        if args.delta is not None:
-            return ach.thm2_rate_and_error(ch, n, delta=args.delta)
-        return ach.thm2_part1_at_rate(ch, n, rate)
-    if theorem == "thm2p2":
-        if args.c is not None:
-            return ach.thm2_rate_and_error(ch, n, c=args.c)
-        return ach.thm2_part2_at_rate(ch, n, rate,
-                                      use_exact_tail=not args.analytic_tail,
-                                      budget=budget)
-    if theorem == "thm3":
-        cp = ach.CodeParams(n, rate_nats=rate, t=t)
-        if args.delta is not None:
-            return ach.thm3_bound(ch, cp, args.delta, budget)
-        return ach.thm3_optimized(ch, cp, budget)
-    if theorem == "thm4p1":
-        if args.delta is not None:
-            return ach.thm4_rate_and_error(ch, t, n, delta=args.delta)
-        return ach.thm4_part1_at_rate(ch, t, n, rate)
-    if theorem == "thm4p2":
-        if args.c is not None:
-            return ach.thm4_rate_and_error(ch, t, n, c=args.c)
-        return ach.thm4_part2_at_rate(ch, t, n, rate)
-    k = getattr(args, "k", None)
-    if theorem == "zform":
-        p = chn.as_zchannel(ch)
-        if p is None:
-            raise UsageError("zform needs a z:p channel")
-        err = ach.zchannel_closed_form(
-            p, t, n, log_m=k * LN2 if k is not None else n * rate)
-        return ach.BoundResult(theorem="zform", n=n, rate_nats=rate,
-                               error_ub=err, tail_kind="exact")
-    if theorem == "bscform":
-        p = chn.as_bsc(ch)
-        if p is None:
-            raise UsageError("bscform needs a bsc:p channel")
-        if k is not None:
-            err = ach.bsc_closed_form(p, n, 2 ** k, dt_variant=args.dt_variant)
-        else:
-            err = ach.bsc_closed_form(p, n, log_m=n * rate,
-                                      dt_variant=args.dt_variant)
-        return ach.BoundResult(theorem="bscform", n=n, rate_nats=rate,
-                               error_ub=err, tail_kind="exact")
-    if theorem == "becform":
-        p = chn.as_bec(ch)
-        if p is None:
-            raise UsageError("becform needs a bec:p channel")
-        if k is not None:
-            err = ach.bec_closed_form(p, n, 2 ** k, dt_variant=args.dt_variant)
-        else:
-            err = ach.bec_closed_form(p, n, log_m=n * rate,
-                                      dt_variant=args.dt_variant)
-        return ach.BoundResult(theorem="becform", n=n, rate_nats=rate,
-                               error_ub=err, tail_kind="exact")
-    if theorem == "ee":
-        dist = t if t is not None else _uniform_for(ch)
-        err = ach.error_exponent_baseline(ch, dist, n, rate)
-        return ach.BoundResult(theorem="ee", n=n, rate_nats=rate,
-                               error_ub=err, tail_kind="exponent")
-    raise UsageError(f"unknown theorem {theorem!r}")
+    return _bound_row(ach.bound_at_rate(
+        theorem, ch, n, rate, t=t,
+        budget=tail.TailBudget(mc_samples=args.mc_samples, seed=args.seed),
+        k=getattr(args, "k", None), delta=args.delta, c=args.c,
+        dt_variant=args.dt_variant, exact_tail=not args.analytic_tail))
 
 
-def _uniform_for(ch) -> chn.InputType:
-    size = 2 if isinstance(ch, chn.BiAwgn) else ch.input_size
-    return chn.InputType.uniform(size)
+def _bound_names(at_eps=False):
+    """The --bounds choices: every table row, or those with a rate at --eps."""
+    return [name for name, th in ach.THEOREMS.items()
+            if th.at_eps is not None or not at_eps]
+
+
+def _request(args, names, at_eps=False):
+    """Channel and composition of a request, once every bound name in it is
+    one the table can serve; checked before anything is evaluated."""
+    ch = parse_channel(args.channel)
+    t = parse_type(args.type) if args.type else None
+    for name in names:
+        if name not in _bound_names(at_eps):
+            raise UsageError(f"bound {name!r} is not one of "
+                             + ",".join(_bound_names(at_eps)))
+        if ach.THEOREMS[name].ensemble == "fixed" and t is None:
+            raise UsageError(f"bound {name} needs --type")
+    return ch, t
 
 
 def cmd_bound(args):
-    ch = parse_channel(args.channel)
-    t = parse_type(args.type) if args.type else None
-    if args.theorem in _TYPE_THEOREMS and t is None:
-        raise UsageError(f"--theorem {args.theorem} needs --type")
-    needs_rate = not ((args.theorem in ("thm2p1", "thm4p1") and args.delta is not None)
-                      or (args.theorem in ("thm2p2", "thm4p2") and args.c is not None))
+    ch, t = _request(args, [args.theorem])
+    th = ach.THEOREMS[args.theorem]
+    needs_rate = th.parameter is None or getattr(args, th.parameter) is None
     rate = _resolve_rate(args, ch, t) if needs_rate else None
-    res = _eval_bound(ch, args, t, args.theorem, args.n, rate)
-    write_csv([_bound_row(res)], BOUND_HEADER, args.output)
+    write_csv([_eval_bound(ch, args, t, args.theorem, args.n, rate)], BOUND_HEADER,
+              args.output)
     return 0
 
 
 def cmd_rate_vs_n(args):
-    ch = parse_channel(args.channel)
-    t = parse_type(args.type) if args.type else None
     bounds = args.bounds.split(",")
+    ch, t = _request(args, bounds, at_eps=True)
     grid = parse_grid(args.n)
     budget = tail.TailBudget(mc_samples=args.mc_samples, seed=args.seed)
 
     def evaluate(b, n, _):
-        return ach.max_rate_at_eps(ch, n, args.eps, b, t=t, budget=budget)
+        return _bound_row(ach.max_rate_at_eps(ch, n, args.eps, b, t=t, budget=budget))
 
     return _write_curve([(b, n, None) for b in bounds for n in grid],
-                        evaluate, args.output)
+                        evaluate, _flagged_bound, BOUND_HEADER, args.output)
 
 
 def cmd_error_vs_rate(args):
-    ch = parse_channel(args.channel)
-    t = parse_type(args.type) if args.type else None
     bounds = args.bounds.split(",")
+    ch, t = _request(args, bounds)
     rates_bits = parse_float_grid(args.rates)
-    return _write_curve([(b, args.n, rb * LN2) for b in bounds for rb in rates_bits],
-                        lambda b, n, rate: _eval_bound(ch, args, t, b, n, rate),
-                        args.output)
+    return _write_curve(
+        [(b, args.n, rb * LN2) for b in bounds for rb in rates_bits],
+        lambda b, n, rate: _eval_bound(ch, args, t, b, n, rate),
+        _flagged_bound, BOUND_HEADER, args.output)
 
 
 def cmd_nep(args):
@@ -316,26 +270,25 @@ def cmd_nep(args):
                 clt.lower, clt.upper, clt.flags["in_regime"],
                 sandwich.flags["rate"], sandwich.flags["lambda"], exact_kind]
 
-    write_csv([eval_point(d) for d in deltas], NEP_HEADER, args.output)
-    return 0
+    def flagged(d):
+        return (f"delta={d} at n={args.n}",
+                [args.n, d, args.family] + [""] * 9 + ["infeasible"])
+
+    return _write_curve([(d,) for d in deltas], eval_point, flagged, NEP_HEADER,
+                        args.output, infeasible=nep.TiltRangeError)
 
 
 def cmd_simulate(args):
     ch = parse_channel(args.channel)
+    rate = args.k / args.n * LN2
     if args.ensemble == "gallager":
-        spec = mc.GallagerSpec(args.n, args.k)
-        rate = args.k / args.n * LN2
+        spec, theorem, t = mc.GallagerSpec(args.n, args.k), "thm1", None
     else:
         t = parse_type(args.type)
-        spec = mc.FixedTypeSpec(args.n, args.k, t)
-        rate = args.k / args.n * LN2
+        spec, theorem = mc.FixedTypeSpec(args.n, args.k, t), "thm3"
     delta = args.delta
     if delta is None:
-        if args.ensemble == "gallager":
-            delta = ach.thm1_optimized(ch, ach.CodeParams(args.n, k=args.k)).delta
-        else:
-            delta = ach.thm3_optimized(
-                ch, ach.CodeParams(args.n, k=args.k, t=spec.t)).delta
+        delta = ach.bound_at_rate(theorem, ch, args.n, rate, t).delta
     rep = mc.simulate_pe(ch, spec, delta, args.trials, args.seed,
                          tie_break=args.tie_break)
     row = [args.n, rate / LN2, rate, rep.empirical_pe,
@@ -379,9 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     _add_rate_flags(sp)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--theorem", required=True,
-                    choices=["thm1", "thm2p1", "thm2p2", "thm3", "thm4p1",
-                             "thm4p2", "zform", "bscform", "becform", "ee"])
+    sp.add_argument("--theorem", required=True, choices=list(ach.THEOREMS))
     sp.add_argument("--delta", type=float, default=None)
     sp.add_argument("--c", type=float, default=None)
     sp.add_argument("--dt-variant", action="store_true")
@@ -396,14 +347,15 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--eps", type=float, required=True)
         sp.add_argument("--n", required=True, help="grid start:stop:step or list")
         sp.add_argument("--bounds", required=True,
-                        help="comma list: thm1,thm2p1,thm2p2,thm3,thm4p1,thm4p2,ee")
+                        help="comma list: " + ",".join(_bound_names(at_eps=True)))
         sp.set_defaults(fn=cmd_rate_vs_n)
 
     sp = sub.add_parser("error-vs-rate", help="bound error along a rate grid")
     _add_common(sp)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--rates", required=True, help="bits grid start:stop:step or list")
-    sp.add_argument("--bounds", required=True)
+    sp.add_argument("--bounds", required=True,
+                    help="comma list: " + ",".join(_bound_names()))
     sp.add_argument("--delta", type=float, default=None)
     sp.add_argument("--c", type=float, default=None)
     sp.add_argument("--dt-variant", action="store_true")

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.stats import binom
 
 from fbl import achievability as ach
 from fbl import channel as chn
-from fbl import tail
+from fbl import nep, tail
 from fbl.numkit import q_inv
 
 LN2 = math.log(2.0)
@@ -165,7 +167,7 @@ class TestThm2:
         ch = chn.zchannel(0.5)
         n = 400
         s = chn.moment_summary(ch)
-        res = ach.thm2_rate_and_error(ch, n, c=0.0, symmetric=False)
+        res = ach.thm2_rate_and_error(ch, n, c=0.0)
         sigma = math.sqrt(s.sigma2_h)
         expect = (0.5 / (1 - 2.0 ** -n)
                   + (0.4784 * s.m3_h / sigma ** 3
@@ -400,3 +402,103 @@ class TestOptimizedMonotonicity:
             ch, ach.CodeParams(n, rate_nats=rate, t=UNIF)).error_ub
             for n in (100, 200, 400)]
         assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
+
+
+def _table_case(name, data, longest=200):
+    """A channel (and composition) of the row's ensemble whose tails are all
+    exact, and a block length in [20, longest] that the composition divides."""
+    ensemble = ach.THEOREMS[name].ensemble
+    if ensemble == "fixed":
+        ch = chn.zchannel(data.draw(st.floats(0.1, 0.8), label="z"))
+        return ch, UNIF, 2 * data.draw(st.integers(10, longest // 2), label="n/2")
+    kind = {"bscform": "bsc", "becform": "bec"}.get(
+        name, data.draw(st.sampled_from(["bsc", "bec"]), label="kind"))
+    ch = (chn.bsc(data.draw(st.floats(0.02, 0.3), label="p")) if kind == "bsc"
+          else chn.bec(data.draw(st.floats(0.05, 0.6), label="p")))
+    return ch, None, data.draw(st.integers(20, longest), label="n")
+
+
+def _capacity(ch, t):
+    return chn.linear_capacity(ch) if t is None else chn.mutual_info(ch, t)
+
+
+def _tail_union(name, ch, n, rate, t, delta):
+    bound = ach.thm1_bound if ach.THEOREMS[name].ensemble == "parity" else ach.thm3_bound
+    return bound(ch, ach.CodeParams(n, rate_nats=rate, t=t), delta)
+
+
+class TestTheoremTable:
+    """Properties every row of the theorem table must have."""
+
+    @pytest.mark.parametrize("name", list(ach.THEOREMS))
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_error_in_unit_interval_and_nondecreasing_in_rate(self, name, data):
+        ch, t, n = _table_case(name, data)
+        lo = data.draw(st.floats(0.05, 1.0), label="lo")
+        hi = data.draw(st.floats(lo, 1.1), label="hi")
+        cap = _capacity(ch, t)
+        try:
+            errs = [ach.bound_at_rate(name, ch, n, f * cap, t=t,
+                                      exact_tail=False).error_ub for f in (lo, hi)]
+        except ach.InfeasibleRateError:
+            assume(False)
+        assert all(0.0 <= e <= 1.0 for e in errs)
+        assert errs[0] <= errs[1] * (1 + 1e-12)
+
+    @pytest.mark.parametrize(
+        "name", [name for name, th in ach.THEOREMS.items() if th.parameter == "c"])
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_exact_tail_rows_are_tail_plus_union(self, name, data):
+        # an exact-tail row is tail + union at the delta the central-limit
+        # rule fixes, not a minimum over delta, so it need not be monotone
+        # in the rate; it must equal that tail + union
+        ch, t, n = _table_case(name, data)
+        rate = data.draw(st.floats(0.05, 1.1), label="frac") * _capacity(ch, t)
+        try:
+            res = ach.bound_at_rate(name, ch, n, rate, t=t)
+        except ach.InfeasibleRateError:
+            assume(False)
+        assert 0.0 <= res.error_ub <= 1.0
+        if res.tail_kind == "exact" and res.delta > 0:
+            assert res.error_ub == _tail_union(name, ch, n, rate, t, res.delta).error_ub
+
+    @staticmethod
+    def _check_rate_at_eps(name, data, longest):
+        ch, t, n = _table_case(name, data, longest)
+        eps = data.draw(st.floats(1e-3, 0.4), label="eps")
+        try:
+            res = ach.max_rate_at_eps(ch, n, eps, name, t=t)
+        except ach.InfeasibleRateError:
+            assume(False)
+        assert res.rate_nats > 0 and res.error_ub <= eps * (1 + 1e-6)
+        again = ach.bound_at_rate(name, ch, n, res.rate_nats, t=t)
+        assert 0.0 <= again.error_ub <= eps * (1 + 1e-6)
+
+    @pytest.mark.parametrize("name", [name for name, th in ach.THEOREMS.items()
+                                      if th.at_eps is not None and name != "thm3"])
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_error_at_returned_rate_meets_eps(self, name, data):
+        self._check_rate_at_eps(name, data, 200)
+
+    # thm3's inversion runs about fifty optimisations of a lattice tail per
+    # deviation, seconds each even at short blocks: fewer, shorter cases
+    @settings(max_examples=2, deadline=None)
+    @given(data=st.data())
+    def test_thm3_error_at_returned_rate_meets_eps(self, data):
+        self._check_rate_at_eps("thm3", data, 30)
+
+    @pytest.mark.parametrize("name", ["thm2p1", "thm4p1"])
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_tail_plus_union_below_tilted_form(self, name, data):
+        ch, t, n = _table_case(name, data)
+        fam = (nep.cond_entropy_family(ch) if t is None
+               else nep.rel_entropy_family(ch, t))
+        delta = data.draw(st.floats(0.01, 0.9), label="frac") * fam.delta_star()
+        tilted = ach.bound_at_rate(name, ch, n, None, t=t, delta=delta)
+        assume(tilted.rate_nats > 0)
+        direct = _tail_union(name, ch, n, tilted.rate_nats, t, delta)
+        assert direct.error_ub <= tilted.error_ub * (1 + 1e-9)

@@ -124,6 +124,18 @@ class TestNepCommand:
         _, rows = parse_csv(r.stdout)
         assert len(rows) == 3
 
+    def test_out_of_reach_deviation_flags_its_row(self):
+        base = ["nep", "--channel", "bsc:0.11", "--n", "200", "--delta"]
+        r = run_cli(base + ["0.5:2.0:0.5"])
+        assert r.returncode == 3
+        err = r.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("infeasible: delta=2.0 at n=200")
+        lines = r.stdout.splitlines()
+        assert lines[4:] == ["200,2,cond,,,,,,,,,,infeasible"]
+        reachable = run_cli(base + ["0.5:1.5:0.5"])
+        assert reachable.returncode == 0
+        assert lines[:4] == reachable.stdout.splitlines()
+
 
 class TestCurveCommands:
     def test_compare_ordering_columns(self):
@@ -188,12 +200,69 @@ class TestCurveCommands:
         assert all(row[col] == "" for row in rows[3:]
                    for col in ("rate_bits", "rate_nats", "error_ub", "delta"))
 
+    def test_non_positive_rates_are_infeasible(self):
+        for args, points in (
+                (["bsc:0.11", "--eps", "1e-6", "--n", "30,60",
+                  "--bounds", "thm2p1,thm4p1"],
+                 [("thm2p1", "30"), ("thm2p1", "60"), ("thm4p1", "30"), ("thm4p1", "60")]),
+                (["z:0.5", "--eps", "1e-4", "--n", "40", "--bounds", "thm4p1"],
+                 [("thm4p1", "40")])):
+            r = run_cli(["compare", "--type", "0.5,0.5", "--channel"] + args)
+            assert r.returncode == 3
+            assert len(r.stderr.splitlines()) == len(points)
+            _, rows = parse_csv(r.stdout)
+            assert [(row["theorem"], row["n"], row["tail_kind"], row["rate_nats"])
+                    for row in rows] == [p + ("infeasible", "") for p in points]
+
+    def test_exponent_rate_on_three_input_channel(self, tmp_path):
+        path = tmp_path / "ch.txt"
+        path.write_text("discrete 3 3\n0.8 0.1 0.1\n0.1 0.8 0.1\n0.1 0.1 0.8\n")
+        r = run_cli(["compare", "--channel", f"file:{path}", "--type", "1/3,1/3,1/3",
+                     "--eps", "1e-3", "--n", "200", "--bounds", "ee"])
+        assert r.returncode == 0, r.stderr
+        _, rows = parse_csv(r.stdout)
+        t = cli.parse_type("1/3,1/3,1/3")
+        mi = chn.mutual_info(cli.parse_channel(f"file:{path}"), t)
+        assert 0 < float(rows[0]["rate_nats"]) < mi
+        assert float(rows[0]["error_ub"]) <= 1e-3
+
     def test_thread_count_does_not_change_bytes(self):
         args = ["compare", "--channel", "bsc:0.11", "--eps", "1e-3",
                 "--n", "200:600:200", "--bounds", "thm1,ee"]
         out1 = run_cli(args, {"FBL_THREADS": "1"}).stdout
         out4 = run_cli(args, {"FBL_THREADS": "4"}).stdout
         assert out1 == out4
+
+
+class TestCurveRequestChecks:
+    """A curve request the theorem table cannot serve fails before any point."""
+
+    @pytest.fixture
+    def no_evaluation(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a point was evaluated")
+        monkeypatch.setattr(ach, "max_rate_at_eps", fail)
+        monkeypatch.setattr(ach, "bound_at_rate", fail)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["error-vs-rate", "--channel", "bsc:0.11", "--n", "200",
+          "--rates", "0.1,0.2", "--bounds", "thm1,thm3"],
+         "error: bound thm3 needs --type"),
+        (["compare", "--channel", "bsc:0.11", "--eps", "1e-3", "--n", "200:3000:200",
+          "--bounds", "thm1,foo"],
+         "error: bound 'foo' is not one of thm1,thm2p1,thm2p2,thm3,thm4p1,thm4p2,ee"),
+        (["compare", "--channel", "bsc:0.11", "--eps", "1e-3", "--n", "200",
+          "--bounds", "thm1,bscform"],
+         "error: bound 'bscform' is not one of thm1,thm2p1,thm2p2,thm3,thm4p1,thm4p2,ee"),
+        (["rate-vs-n", "--channel", "z:0.5", "--eps", "1e-3", "--n", "200",
+          "--bounds", "thm4p2"],
+         "error: bound thm4p2 needs --type"),
+    ], ids=["missing-type", "unknown", "no-inversion", "rate-vs-n-missing-type"])
+    def test_rejected_with_one_line_and_no_rows(self, no_evaluation, capsys,
+                                                argv, message):
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == [message]
 
 
 class TestSimulateCommand:
