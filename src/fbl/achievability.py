@@ -105,9 +105,7 @@ class Ensemble:
     defect: float       # n H(t) - ln |T_t|; 0 for the parity-check ensemble
     family: Callable[[], nep.TiltFamily]
     tail: Callable
-    # On a discrete channel the deviation search stops at 0.999 delta*;
-    # thm1 also caps it by the sigma rule used on continuous channels.
-    sigma_caps_lattice: bool
+    sigma_caps_lattice: bool  # the sigma rule also caps 0.999 delta* (thm1)
 
 
 def _ensemble(ch, t, n) -> Ensemble:
@@ -162,7 +160,8 @@ def thm3_bound(ch, cp: CodeParams, delta: float,
 
 
 def _delta_ceiling(ens: Ensemble, rate) -> float:
-    """Largest deviation the search tries."""
+    """Largest deviation the search tries: the sigma rule, or 0.999 delta* on a
+    discrete channel (capped by the sigma rule where sigma_caps_lattice)."""
     fam = ens.family()
     hi = max(ens.capacity - rate, 0.0) + max(0.1, 2.0 * math.sqrt(fam.sigma2))
     if not isinstance(ens.ch, chn.DiscreteChannel):
@@ -516,8 +515,7 @@ def _clt_at_rate(ens: Ensemble, rate_nats, exact_tail=True,
     c = _clt_c_for_rate(ens, rate_nats)
     out = _central_limit(ens, c)
     out.rate_nats = rate_nats
-    if exact_tail and ens.names[2] == "thm2p2" \
-            and isinstance(ens.ch, chn.DiscreteChannel):
+    if exact_tail and isinstance(ens.ch, chn.DiscreteChannel):
         exact = _tail_union(ens, rate_nats, out.delta, budget)
         if exact.tail_kind == "exact":
             exact.theorem, exact.lambda_or_c = out.theorem, c

@@ -7,10 +7,10 @@ their grid in order, one point after another.
 
 Exit codes: 0 success, 2 malformed request (single-line diagnostic on
 stderr), 3 infeasible bound request. A curve command (compare,
-rate-vs-n, error-vs-rate) still writes every row when some grid points
-are infeasible: such a row keeps its inputs, leaves its computed columns
-empty and has tail_kind=infeasible, each one adds an 'infeasible:' line
-on stderr, and the command exits 3.
+rate-vs-n, error-vs-rate, nep) still writes every row when some grid
+points are infeasible: such a row keeps its inputs, leaves its computed
+columns empty and is flagged infeasible, each one adds an 'infeasible:'
+line on stderr, and the command exits 3.
 """
 
 import argparse
@@ -144,10 +144,8 @@ def _write_curve(points, evaluate, flagged, header, output,
                  infeasible=ach.InfeasibleRateError) -> int:
     """Evaluate the points in order and write one row for each.
 
-    A point whose evaluation raises `infeasible` gets flagged(point): a
-    label for its one 'infeasible:' line on stderr, and a row that keeps
-    its inputs, leaves the computed columns empty and ends in
-    'infeasible'. The exit code is then 3.
+    A point whose evaluation raises `infeasible` gets the stderr label and
+    the row (its inputs, then empty columns) of flagged(point); exit code 3.
     """
     rows, code = [], 0
     for point in points:
@@ -337,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--c", type=float, default=None)
     sp.add_argument("--dt-variant", action="store_true")
     sp.add_argument("--analytic-tail", action="store_true",
-                    help="skip the exact-tail refinement of thm2p2")
+                    help="skip the exact-tail refinement of thm2p2 and thm4p2")
     sp.set_defaults(fn=cmd_bound)
 
     for name, help_text in (("rate-vs-n", "largest rate meeting --eps per n"),

@@ -214,6 +214,15 @@ class TestCurveCommands:
             assert [(row["theorem"], row["n"], row["tail_kind"], row["rate_nats"])
                     for row in rows] == [p + ("infeasible", "") for p in points]
 
+    def test_rate_past_the_central_limit_peak_is_flagged(self):
+        # the c solve has no root there; that is an infeasible point, not an error
+        r = run_cli(["error-vs-rate", "--channel", "bsc:0.02", "--n", "20",
+                     "--rates", "0.5,0.95", "--bounds", "thm2p2"])
+        assert r.returncode == 3
+        assert r.stderr.startswith("infeasible: thm2p2 at n=20")
+        _, rows = parse_csv(r.stdout)
+        assert [row["tail_kind"] for row in rows] == ["exact", "infeasible"]
+
     def test_exponent_rate_on_three_input_channel(self, tmp_path):
         path = tmp_path / "ch.txt"
         path.write_text("discrete 3 3\n0.8 0.1 0.1\n0.1 0.8 0.1\n0.1 0.1 0.8\n")
