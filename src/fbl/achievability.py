@@ -510,7 +510,7 @@ def _clt_at_rate(ens: Ensemble, rate_nats, exact_tail=True,
     analytic form or, when the channel has an exact deviation
     probability, from tail + union at delta = c/sqrt(n). That union term
     is the analytic exp(-c^2/(2 sigma^2))/(sqrt(2 pi n) sigma) term, and
-    Berry-Esseen bounds the exact tail by the rest: tighter, same guarantee.
+    Berry-Esseen bounds the exact tail by the rest (up to f0 - 1 times it).
     """
     c = _clt_c_for_rate(ens, rate_nats)
     out = _central_limit(ens, c)

@@ -487,8 +487,8 @@ class TestTheoremTable:
     def test_error_at_returned_rate_meets_eps(self, name, data):
         self._check_rate_at_eps(name, data, 200)
 
-    # thm3's inversion runs about fifty optimisations of a lattice tail per
-    # deviation, seconds each even at short blocks: fewer, shorter cases
+    # one thm3 inversion runs about fifty delta optimisations over lattice
+    # tails and takes seconds even at short blocks: fewer, shorter cases
     @settings(max_examples=2, deadline=None)
     @given(data=st.data())
     def test_thm3_error_at_returned_rate_meets_eps(self, data):

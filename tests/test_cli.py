@@ -251,7 +251,7 @@ class TestCurveRequestChecks:
         def fail(*args, **kwargs):
             raise AssertionError("a point was evaluated")
         monkeypatch.setattr(ach, "max_rate_at_eps", fail)
-        monkeypatch.setattr(ach, "bound_at_rate", fail)
+        monkeypatch.setattr(cli, "_eval_bound", fail)
 
     @pytest.mark.parametrize("argv, message", [
         (["error-vs-rate", "--channel", "bsc:0.11", "--n", "200",
