@@ -95,7 +95,8 @@ class Ensemble:
     relative entropy); its sigma2, m3 and be_const are the h or d moments
     and the i.i.d. or non-identical Berry-Esseen constant. It is built on
     first use, so tail + union alone never needs the moments. tail(delta,
-    n, budget) is tail.pdelta or tail.ptdelta.
+    n, budget) is tail.pdelta or tail.ptdelta; lattice_tail is its exact
+    lattice path alone, which raises tail.LatticeInfeasibleError.
     """
     names: tuple        # (tail + union, tilted, central-limit) theorem names
     ch: object
@@ -105,6 +106,7 @@ class Ensemble:
     defect: float       # n H(t) - ln |T_t|; 0 for the parity-check ensemble
     family: Callable[[], nep.TiltFamily]
     tail: Callable
+    lattice_tail: Callable
     sigma_caps_lattice: bool  # the sigma rule also caps 0.999 delta* (thm1)
 
 
@@ -114,25 +116,29 @@ def _ensemble(ch, t, n) -> Ensemble:
         f0 = 1.0 if chn.is_symmetric(ch) or n >= 1060 else 1.0 / (1.0 - 2.0 ** (-n))
         return Ensemble(("thm1", "thm2p1", "thm2p2"), ch, n, chn.linear_capacity(ch),
                         f0, 0.0, partial(nep.cond_entropy_family, ch),
-                        partial(tail.pdelta, ch), sigma_caps_lattice=True)
+                        partial(tail.pdelta, ch), partial(tail.lattice_tail, ch, None),
+                        sigma_caps_lattice=True)
     return Ensemble(("thm3", "thm4p1", "thm4p2"), ch, n, chn.mutual_info(ch, t), 1.0,
                     n * t.entropy() - chn.log_type_class_size(t, n),
                     partial(nep.rel_entropy_family, ch, t),
-                    partial(tail.ptdelta, ch, t), sigma_caps_lattice=False)
+                    partial(tail.ptdelta, ch, t), partial(tail.lattice_tail, ch, t),
+                    sigma_caps_lattice=False)
 
 
 # ---------------------------------------------------------------------------
 # tail + union bound and its minimum over the deviation
 # ---------------------------------------------------------------------------
 
-def _tail_union(ens: Ensemble, rate, delta, budget=None) -> BoundResult:
+def _tail_union(ens: Ensemble, rate, delta, budget=None,
+                exact_only=False) -> BoundResult:
     """f0 P(deviation > delta) + exp(-n (C - delta - R) + defect).
 
     delta may be negative (rates above capacity); the public entry points
-    reject that, the central-limit refinement needs it.
+    reject that, the central-limit refinement needs it, and asks for the
+    exact lattice tail only (exact_only).
     """
     n = ens.n
-    pd = ens.tail(delta, n, budget)
+    pd = (ens.lattice_tail if exact_only else ens.tail)(delta, n, budget)
     tail_term = ens.f0 * pd.pessimistic
     union = _exp(-n * (ens.capacity - delta - rate) + ens.defect)
     return BoundResult(
@@ -516,11 +522,13 @@ def _clt_at_rate(ens: Ensemble, rate_nats, exact_tail=True,
     out = _central_limit(ens, c)
     out.rate_nats = rate_nats
     if exact_tail and isinstance(ens.ch, chn.DiscreteChannel):
-        exact = _tail_union(ens, rate_nats, out.delta, budget)
-        if exact.tail_kind == "exact":
-            exact.theorem, exact.lambda_or_c = out.theorem, c
-            exact.extras["analytic_error"] = out.error_ub
-            return exact
+        try:
+            exact = _tail_union(ens, rate_nats, out.delta, budget, exact_only=True)
+        except tail.LatticeInfeasibleError:
+            return out
+        exact.theorem, exact.lambda_or_c = out.theorem, c
+        exact.extras["analytic_error"] = out.error_ub
+        return exact
     return out
 
 

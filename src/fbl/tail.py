@@ -3,9 +3,12 @@
 The single-letter statistics of a discrete channel take finitely many
 values; when those values share a common lattice step the n-fold sum
 lives on an integer grid and its tail can be computed exactly by a
-log-domain convolution. Otherwise a seeded Monte-Carlo estimate (with a
-Wilson 99% interval) stands in, and continuous-output channels fall
-back to the two-sided sandwich from the tilted-measure module.
+log-domain convolution. That distribution depends on neither the
+deviation nor the rate, so it is built once per (channel, composition,
+n, state budget), kept in a small memo, and every deviation is read off
+the same array. Otherwise a seeded Monte-Carlo estimate (with a Wilson
+99% interval) stands in, and continuous-output channels fall back to
+the two-sided sandwich from the tilted-measure module.
 
 Inequality conventions follow the two deviation events literally: the
 conditional-entropy event is a strict upper tail (borderline lattice
@@ -16,6 +19,7 @@ slack toward the decoding set so float noise cannot flip an atom.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import logsumexp
@@ -139,6 +143,9 @@ def _power_log(logp: np.ndarray, n: int, max_states: int) -> np.ndarray:
 
 def _sum_distribution(rows, max_states):
     """Distribution of the total sum: (offset, step, log-pmf over indices)."""
+    for ls, cnt in rows:
+        if ls.lattice_step is None and ls.values.size > 1:
+            raise LatticeInfeasibleError("spec carries no lattice step")
     step, diffs = _lattice_offsets(rows)
     offset = 0.0
     acc = np.array([0.0])
@@ -191,11 +198,13 @@ def exact_tail_rows(rows, threshold: float, side: str = "gt",
     """Exact tail for an independent sum drawn row-wise (count copies each)."""
     if side not in ("gt", "le"):
         raise ValueError(f"side must be 'gt' or 'le', got {side!r}")
-    for ls, cnt in rows:
-        if ls.lattice_step is None and ls.values.size > 1:
-            raise LatticeInfeasibleError("spec carries no lattice step")
     offset, step, log_pmf = _sum_distribution(rows, max_states)
-    log_tail = _tail_from_distribution(offset, step, log_pmf, threshold, side)
+    return _exact_estimate(
+        _tail_from_distribution(offset, step, log_pmf, threshold, side))
+
+
+def _exact_estimate(log_tail: float) -> TailEstimate:
+    """The exact TailEstimate of a log tail mass."""
     value = math.exp(log_tail) if log_tail > -745.0 else 0.0
     return TailEstimate(kind="exact", value=min(value, 1.0), log_value=log_tail)
 
@@ -275,26 +284,68 @@ def rel_entropy_rows(ch: chn.DiscreteChannel, t: chn.InputType, n: int):
     return rows
 
 
+def _statistic_rows(ch, t, n):
+    """Rows (spec, count) of the conditional-entropy sum (t None) or of the
+    relative-entropy sum for the n-type t."""
+    return [(cond_entropy_spec(ch), n)] if t is None else rel_entropy_rows(ch, t, n)
+
+
+def _deviation_event(ch, t, delta: float, n: int):
+    """(threshold, side) of the deviation event of the n-letter sum."""
+    if t is None:
+        return n * (chn.cond_entropy(ch) + delta), "gt"
+    return n * (chn.mutual_info(ch, t) - delta), "le"
+
+
+# One distribution per (channel, composition, n, state budget); channels
+# hash by identity, compositions by value. The rate curves walk one key at
+# a time, and an entry can hold as many states as the budget allows, so
+# the memo stays small. LatticeInfeasibleError is raised, not cached.
+@lru_cache(maxsize=4)
+def _lattice_distribution(ch, t, n: int, max_states: int):
+    offset, step, log_pmf = _sum_distribution(_statistic_rows(ch, t, n), max_states)
+    log_pmf.setflags(write=False)
+    return offset, step, log_pmf
+
+
+def lattice_tail(ch: chn.DiscreteChannel, t: chn.InputType | None, delta: float,
+                 n: int, budget: TailBudget | None = None) -> TailEstimate:
+    """Exact deviation probability of pdelta (t None) or ptdelta (type t).
+
+    Reads the tail off the memoised lattice distribution of the n-letter
+    sum. Raises LatticeInfeasibleError when the atoms share no lattice or
+    the distribution needs more states than the budget allows.
+    """
+    budget = budget or TailBudget()
+    offset, step, log_pmf = _lattice_distribution(ch, t, n, budget.max_lattice_states)
+    threshold, side = _deviation_event(ch, t, delta, n)
+    return _exact_estimate(
+        _tail_from_distribution(offset, step, log_pmf, threshold, side))
+
+
+def _discrete_tail(ch, t, delta, n, budget):
+    """The exact lattice tail, else a Monte-Carlo estimate of the same event."""
+    try:
+        return lattice_tail(ch, t, delta, n, budget)
+    except LatticeInfeasibleError:
+        threshold, side = _deviation_event(ch, t, delta, n)
+        return mc_tail_rows(_statistic_rows(ch, t, n), threshold, budget.mc_samples,
+                            budget.seed, side=side, shard=budget.shard)
+
+
 def pdelta(ch, delta: float, n: int,
            budget: TailBudget | None = None) -> TailEstimate:
     """Deviation probability of the conditional-entropy sum.
 
     P{ -(1/n) sum ln p(X_i|Z_i) > H(X|Y) + delta } under uniform input.
-    Dispatch: exact lattice DP, then Monte Carlo, then the tilted-measure
-    sandwich for continuous-output channels.
+    Dispatch: exact lattice DP (its distribution built once per channel,
+    n and state budget, and reused for every delta), then Monte Carlo,
+    then the tilted-measure sandwich for continuous-output channels.
     """
     budget = budget or TailBudget()
     if isinstance(ch, chn.BiAwgn):
         return nep.tail_bounds(nep.cond_entropy_family(ch), delta, n)
-    spec = cond_entropy_spec(ch)
-    h = chn.cond_entropy(ch)
-    threshold = n * (h + delta)
-    try:
-        return exact_tail(spec, n, threshold, side="gt",
-                          max_states=budget.max_lattice_states)
-    except LatticeInfeasibleError:
-        return mc_tail(spec, n, threshold, budget.mc_samples, budget.seed,
-                       side="gt", shard=budget.shard)
+    return _discrete_tail(ch, None, delta, n, budget)
 
 
 def ptdelta(ch, t: chn.InputType, delta: float, n: int,
@@ -303,16 +354,10 @@ def ptdelta(ch, t: chn.InputType, delta: float, n: int,
 
     P{ sum ln(p(Y_i|x_i)/q_t(Y_i)) <= n (I(t;P) - delta) } for any fixed
     input of composition t (the law depends on the input only through t).
+    The same dispatch as pdelta; the lattice distribution is built once
+    per (channel, t, n, state budget) and reused for every delta.
     """
     budget = budget or TailBudget()
     if isinstance(ch, chn.BiAwgn):
         return nep.tail_bounds(nep.rel_entropy_family(ch, t), delta, n)
-    rows = rel_entropy_rows(ch, t, n)
-    mi = chn.mutual_info(ch, t)
-    threshold = n * (mi - delta)
-    try:
-        return exact_tail_rows(rows, threshold, side="le",
-                               max_states=budget.max_lattice_states)
-    except LatticeInfeasibleError:
-        return mc_tail_rows(rows, threshold, budget.mc_samples, budget.seed,
-                            side="le", shard=budget.shard)
+    return _discrete_tail(ch, t, delta, n, budget)

@@ -220,6 +220,38 @@ class TestThm2:
             ach.thm2_part1_at_rate(ch, 1000, chn.linear_capacity(ch) * 1.5)
 
 
+class TestCentralLimitTailPath:
+    """Without a lattice the central-limit rows keep the analytic form and
+    draw no Monte-Carlo tail."""
+
+    @pytest.fixture(autouse=True)
+    def _no_monte_carlo(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("Monte-Carlo tail drawn")
+        monkeypatch.setattr(tail, "mc_tail", fail)
+        monkeypatch.setattr(tail, "mc_tail_rows", fail)
+
+    def test_thm2p2_on_z_channel(self):
+        ch, n, rate = chn.zchannel(0.5), 1000, 0.2 * LN2
+        with pytest.raises(tail.LatticeInfeasibleError):
+            tail.lattice_tail(ch, None, 0.05, n)
+        res = ach.bound_at_rate("thm2p2", ch, n, rate)
+        assert res.tail_kind == "clt"
+        assert res == ach.bound_at_rate("thm2p2", ch, n, rate, exact_tail=False)
+
+    def test_thm4p2_without_relative_entropy_lattice(self):
+        ch = chn.DiscreteChannel([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]])
+        n = 1000
+        rate = 0.5 * chn.mutual_info(ch, UNIF)
+        assert all(spec.lattice_step is None
+                   for spec, _ in tail.rel_entropy_rows(ch, UNIF, n))
+        with pytest.raises(tail.LatticeInfeasibleError):
+            tail.lattice_tail(ch, UNIF, 0.05, n)
+        res = ach.bound_at_rate("thm4p2", ch, n, rate, t=UNIF)
+        assert res.tail_kind == "clt"
+        assert res == ach.bound_at_rate("thm4p2", ch, n, rate, t=UNIF, exact_tail=False)
+
+
 class TestThm3:
     def test_z_channel_small_enumeration(self):
         # tail and union recomputed directly from the transition structure
@@ -404,18 +436,18 @@ class TestOptimizedMonotonicity:
         assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
 
 
-def _table_case(name, data, longest=200):
+def _table_case(name, data):
     """A channel (and composition) of the row's ensemble whose tails are all
-    exact, and a block length in [20, longest] that the composition divides."""
+    exact, and a block length in [20, 200] that the composition divides."""
     ensemble = ach.THEOREMS[name].ensemble
     if ensemble == "fixed":
         ch = chn.zchannel(data.draw(st.floats(0.1, 0.8), label="z"))
-        return ch, UNIF, 2 * data.draw(st.integers(10, longest // 2), label="n/2")
+        return ch, UNIF, 2 * data.draw(st.integers(10, 100), label="n/2")
     kind = {"bscform": "bsc", "becform": "bec"}.get(
         name, data.draw(st.sampled_from(["bsc", "bec"]), label="kind"))
     ch = (chn.bsc(data.draw(st.floats(0.02, 0.3), label="p")) if kind == "bsc"
           else chn.bec(data.draw(st.floats(0.05, 0.6), label="p")))
-    return ch, None, data.draw(st.integers(20, longest), label="n")
+    return ch, None, data.draw(st.integers(20, 200), label="n")
 
 
 def _capacity(ch, t):
@@ -468,9 +500,12 @@ class TestTheoremTable:
         if res.delta > 0:
             assert res.error_ub == _tail_union(name, ch, n, rate, t, res.delta).error_ub
 
-    @staticmethod
-    def _check_rate_at_eps(name, data, longest):
-        ch, t, n = _table_case(name, data, longest)
+    @pytest.mark.parametrize("name", [name for name, th in ach.THEOREMS.items()
+                                      if th.at_eps is not None])
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_error_at_returned_rate_meets_eps(self, name, data):
+        ch, t, n = _table_case(name, data)
         eps = data.draw(st.floats(1e-3, 0.4), label="eps")
         try:
             res = ach.max_rate_at_eps(ch, n, eps, name, t=t)
@@ -479,20 +514,6 @@ class TestTheoremTable:
         assert res.rate_nats > 0 and res.error_ub <= eps * (1 + 1e-6)
         again = ach.bound_at_rate(name, ch, n, res.rate_nats, t=t)
         assert 0.0 <= again.error_ub <= eps * (1 + 1e-6)
-
-    @pytest.mark.parametrize("name", [name for name, th in ach.THEOREMS.items()
-                                      if th.at_eps is not None and name != "thm3"])
-    @settings(max_examples=8, deadline=None)
-    @given(data=st.data())
-    def test_error_at_returned_rate_meets_eps(self, name, data):
-        self._check_rate_at_eps(name, data, 200)
-
-    # one thm3 inversion runs about fifty delta optimisations over lattice
-    # tails and takes seconds even at short blocks: fewer, shorter cases
-    @settings(max_examples=2, deadline=None)
-    @given(data=st.data())
-    def test_thm3_error_at_returned_rate_meets_eps(self, data):
-        self._check_rate_at_eps("thm3", data, 30)
 
     @pytest.mark.parametrize("name", ["thm2p1", "thm4p1"])
     @settings(max_examples=15, deadline=None)

@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import binom
 
+from fbl import achievability as ach
 from fbl import channel as chn
 from fbl import nep, tail
 
@@ -266,3 +269,55 @@ class TestPtdelta:
     def test_composition_must_match_blocklength(self):
         with pytest.raises(ValueError):
             tail.ptdelta(chn.zchannel(0.5), UNIF, 0.1, 7)
+
+
+class TestLatticeMemo:
+    """One lattice distribution per (channel, composition, n, state budget)."""
+
+    # several block lengths on one channel, so entries are shared, missed
+    # and evicted in one sequence
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from(["bsc", "bec", "z"]), p=st.floats(0.02, 0.45),
+           steps=st.lists(st.tuples(st.integers(1, 150), st.floats(-0.5, 1.5)),
+                          min_size=1, max_size=8))
+    def test_memoised_tail_equals_fresh_exact_tail(self, kind, p, steps):
+        ch = {"bsc": chn.bsc, "bec": chn.bec, "z": chn.zchannel}[kind](p)
+        for half_n, delta in steps:
+            n = 2 * half_n
+            if kind == "z":
+                got = tail.ptdelta(ch, UNIF, delta, n)
+                fresh = tail.exact_tail_rows(
+                    tail.rel_entropy_rows(ch, UNIF, n),
+                    n * (chn.mutual_info(ch, UNIF) - delta), side="le")
+            else:
+                got = tail.pdelta(ch, delta, n)
+                fresh = tail.exact_tail(tail.cond_entropy_spec(ch), n,
+                                        n * (chn.cond_entropy(ch) + delta))
+            assert got.kind == fresh.kind == "exact"
+            assert got.value == fresh.value
+            assert got.log_value == fresh.log_value
+
+    def test_one_build_per_key(self, monkeypatch):
+        builds = []
+        power_log = tail._power_log
+
+        def counted(logp, n, max_states):
+            builds.append(n)
+            return power_log(logp, n, max_states)
+
+        monkeypatch.setattr(tail, "_power_log", counted)
+        tail._lattice_distribution.cache_clear()
+        ch = chn.zchannel(0.5)
+        for rate_bits in (0.15, 0.25):
+            res = ach.thm3_optimized(
+                ch, ach.CodeParams(200, rate_nats=rate_bits * math.log(2), t=UNIF))
+            assert res.tail_kind == "exact"
+        assert builds == [100]  # the noisy input's row; the other is one atom
+
+    def test_state_budget_is_part_of_the_key(self):
+        ch = chn.zchannel(0.5)
+        assert tail.ptdelta(ch, UNIF, 0.05, 200).kind == "exact"
+        # the noisy row alone needs 101 states
+        est = tail.ptdelta(ch, UNIF, 0.05, 200,
+                           tail.TailBudget(max_lattice_states=50, mc_samples=20000))
+        assert est.kind == "mc"
