@@ -3,9 +3,12 @@
 The paper proves each bound for the random parity-check ensemble (thm1,
 thm2) and again for the fixed-composition ensemble (thm3, thm4); the
 proofs differ only in what an `Ensemble` record holds, so each bound is
-written once over it. `THEOREMS`, the theorem table, maps every bound
-name (those, the BSC, BEC and Z closed forms and the error-exponent
-baseline `ee`) to its ensemble, error-at-rate and rate-at-eps.
+written once over it, one record per (channel, composition, n).
+`THEOREMS`, the theorem table, maps every bound name (those, the BSC,
+BEC and Z closed forms and the error-exponent baseline `ee`) to its
+ensemble, error-at-rate and rate-at-eps. Where the conditional-entropy
+statistic has a lattice, thm1's minimum over the deviation is exact and
+equals the BSC and BEC closed forms in any layout.
 
 Rates are nats per channel use internally; the CLI converts to bits.
 Every reported error bound is clamped to [0, 1]; the pre-clamp tail and
@@ -14,7 +17,7 @@ union components are kept on the result for auditing.
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -89,40 +92,47 @@ def _exp(x: float) -> float:
 
 @dataclass(frozen=True)
 class Ensemble:
-    """What the parity-check and fixed-composition bounds differ in, at length n.
+    """What the parity-check (t None) and fixed-composition bounds differ in, at length n.
 
-    family() is the tilt family of the decoding statistic (conditional or
-    relative entropy); its sigma2, m3 and be_const are the h or d moments
-    and the i.i.d. or non-identical Berry-Esseen constant. It is built on
-    first use, so tail + union alone never needs the moments. tail(delta,
-    n, budget) is tail.pdelta or tail.ptdelta; lattice_tail is its exact
-    lattice path alone, which raises tail.LatticeInfeasibleError.
+    family() is the tilt family of the decoding statistic; its sigma2, m3
+    and be_const are the h or d moments and the i.i.d. or non-identical
+    Berry-Esseen constant. tail(delta, budget) is tail.pdelta or
+    tail.ptdelta, or with exact_only the exact lattice path alone (which
+    raises tail.LatticeInfeasibleError). Both look the function up when
+    called, so a cached record never pins it.
     """
     names: tuple        # (tail + union, tilted, central-limit) theorem names
     ch: object
+    t: chn.InputType | None
     n: int
     capacity: float     # linear capacity, or I(t;P)
     f0: float           # puncturing factor; 1 if symmetric or fixed composition
     defect: float       # n H(t) - ln |T_t|; 0 for the parity-check ensemble
-    family: Callable[[], nep.TiltFamily]
-    tail: Callable
-    lattice_tail: Callable
-    sigma_caps_lattice: bool  # the sigma rule also caps 0.999 delta* (thm1)
+
+    def family(self) -> nep.TiltFamily:
+        if self.t is None:
+            return nep.cond_entropy_family(self.ch)
+        return nep.rel_entropy_family(self.ch, self.t)
+
+    def tail(self, delta, budget=None, exact_only=False):
+        if exact_only:
+            return tail.lattice_tail(self.ch, self.t, delta, self.n, budget)
+        if self.t is None:
+            return tail.pdelta(self.ch, delta, self.n, budget)
+        return tail.ptdelta(self.ch, self.t, delta, self.n, budget)
 
 
+# One record per (channel, composition, n), shared by every deviation and
+# rate a curve point tries; channels hash by identity, compositions by value.
+@lru_cache(maxsize=64)
 def _ensemble(ch, t, n) -> Ensemble:
     """The parity-check ensemble (t None) or the fixed-composition ensemble of type t."""
     if t is None:
         f0 = 1.0 if chn.is_symmetric(ch) or n >= 1060 else 1.0 / (1.0 - 2.0 ** (-n))
-        return Ensemble(("thm1", "thm2p1", "thm2p2"), ch, n, chn.linear_capacity(ch),
-                        f0, 0.0, partial(nep.cond_entropy_family, ch),
-                        partial(tail.pdelta, ch), partial(tail.lattice_tail, ch, None),
-                        sigma_caps_lattice=True)
-    return Ensemble(("thm3", "thm4p1", "thm4p2"), ch, n, chn.mutual_info(ch, t), 1.0,
-                    n * t.entropy() - chn.log_type_class_size(t, n),
-                    partial(nep.rel_entropy_family, ch, t),
-                    partial(tail.ptdelta, ch, t), partial(tail.lattice_tail, ch, t),
-                    sigma_caps_lattice=False)
+        return Ensemble(("thm1", "thm2p1", "thm2p2"), ch, None, n,
+                        chn.linear_capacity(ch), f0, 0.0)
+    return Ensemble(("thm3", "thm4p1", "thm4p2"), ch, t, n, chn.mutual_info(ch, t), 1.0,
+                    n * t.entropy() - chn.log_type_class_size(t, n))
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +148,7 @@ def _tail_union(ens: Ensemble, rate, delta, budget=None,
     exact lattice tail only (exact_only).
     """
     n = ens.n
-    pd = (ens.lattice_tail if exact_only else ens.tail)(delta, n, budget)
+    pd = ens.tail(delta, budget, exact_only)
     tail_term = ens.f0 * pd.pessimistic
     union = _exp(-n * (ens.capacity - delta - rate) + ens.defect)
     return BoundResult(
@@ -167,13 +177,13 @@ def thm3_bound(ch, cp: CodeParams, delta: float,
 
 def _delta_ceiling(ens: Ensemble, rate) -> float:
     """Largest deviation the search tries: the sigma rule, or 0.999 delta* on a
-    discrete channel (capped by the sigma rule where sigma_caps_lattice)."""
+    discrete channel (capped by the sigma rule for the parity-check ensemble)."""
     fam = ens.family()
     hi = max(ens.capacity - rate, 0.0) + max(0.1, 2.0 * math.sqrt(fam.sigma2))
     if not isinstance(ens.ch, chn.DiscreteChannel):
         return hi
     star = 0.999 * fam.delta_star()
-    return min(hi, star) if ens.sigma_caps_lattice else star
+    return min(hi, star) if ens.t is None else star
 
 
 def _optimized(ens: Ensemble, bound, cp: CodeParams, budget) -> BoundResult:
@@ -190,77 +200,60 @@ def _optimized(ens: Ensemble, bound, cp: CodeParams, budget) -> BoundResult:
 
 def thm1_optimized(ch, cp: CodeParams,
                    budget: tail.TailBudget | None = None) -> BoundResult:
-    """thm1_bound minimized over delta.
+    """thm1_bound minimized over delta: read off the memoised distribution of
+    S = -ln p(X^n|Y^n) where S has a lattice, else searched (grid, golden section)."""
+    budget = budget or tail.TailBudget()
+    ens = _ensemble(ch, None, cp.n)
+    if isinstance(ch, chn.DiscreteChannel):
+        try:
+            return _lattice_min_form(ens, cp, tail._lattice_distribution(
+                ch, None, cp.n, budget.max_lattice_states))
+        except tail.LatticeInfeasibleError:
+            pass
+    return _optimized(ens, thm1_bound, cp, budget)
 
-    For the BSC and BEC the optimum is available in closed form (the
-    per-weight minimum of likelihood against the codebook density), and
-    that exact expression is returned, together with the breakpoint
-    deviation that attains it.
+
+def _lattice_min_form(ens: Ensemble, cp: CodeParams, dist) -> BoundResult:
+    """sum over the atoms s > 0 of S of P(S=s) min(f0, M 2^-n e^s), at its breakpoint.
+
+    The jar of y holds the words x with -ln p(x|y) <= thr. Under uniform
+    input p(y) = p(x,y) e^S, so E_Y |jar(Y)| = E[e^S 1{S <= thr}] (the
+    paper bounds |jar| by e^thr). An error needs the sent word outside the
+    jar, with probability at most f0 P(S > thr) (f0 the message-puncturing
+    factor), or a competitor inside it. The jar's other words number
+    |jar(y)| - P(S <= thr | y) on average over x ~ p(.|y), so
+    E[(e^S - 1) 1{S <= thr}] in all: at most e^s per atom s > 0, none at
+    s = 0, where p(x^n|y^n) = 1 and the jar holds the sent word alone.
+    Each is a codeword with probability 2^-n, so
+        error <= f0 P(S > thr) + M 2^-n E[e^S 1{0 < S <= thr}].
+    The union weight M 2^-n e^s grows with s, so the minimum over thr puts
+    every atom on its cheaper side: the sum above, which the BSC and BEC
+    closed forms compute (the BEC's from t = 1). Charging e^s - 1 at every
+    atom would be tighter still.
+
+    The breakpoint is the last atom whose union weight is below f0 (ties,
+    to 1e-9 relative, go to the tail); delta puts n (H + delta) midway to
+    the next atom, at least 1e-12.
     """
-    p = chn.as_bsc(ch)
-    if p is not None:
-        return _bsc_optimized(p, cp)
-    p = chn.as_bec(ch)
-    if p is not None:
-        return _bec_optimized(p, cp)
-    return _optimized(_ensemble(ch, None, cp.n), thm1_bound, cp, budget)
+    offset, step, log_pmf, centre = dist
+    live = log_pmf > -np.inf
+    s = offset + step * np.flatnonzero(live)
+    log_p = log_pmf[live]
+    log_union = np.where(s > step * 1e-9, cp.log_m - cp.n * LN2 + s, -np.inf)
+    j = int(np.count_nonzero(log_union < math.log(ens.f0) - 1e-9))  # union side
+    tail_term = ens.f0 * float(np.exp(logsumexp(log_p[j:])))
+    union_term = float(np.exp(logsumexp(log_p[:j] + log_union[:j])))
+    edges = np.concatenate(([s[0] - step], s, [s[-1] + step]))
+    return BoundResult(theorem="thm1", n=cp.n, rate_nats=cp.rate,
+                       error_ub=min(1.0, tail_term + union_term),
+                       delta=max(0.5 * (edges[j] + edges[j + 1]) / cp.n - centre, 1e-12),
+                       tail_kind="exact", components=(tail_term, union_term))
 
 
 def thm3_optimized(ch, cp: CodeParams,
                    budget: tail.TailBudget | None = None) -> BoundResult:
     """thm3_bound minimized over delta (coarse grid plus golden section)."""
     return _optimized(_ensemble(ch, cp.t, cp.n), thm3_bound, cp, budget)
-
-
-def _bsc_breakpoint(p, n, log_m):
-    """Largest weight whose likelihood still dominates the codebook density."""
-    ratio = math.log((1 - p) / p)
-    w_bar = (n * LN2 + n * math.log(1 - p) - log_m) / ratio
-    return math.floor(w_bar), ratio
-
-
-def _bsc_optimized(p, cp: CodeParams) -> BoundResult:
-    n, log_m = cp.n, cp.log_m
-    w_star, ratio = _bsc_breakpoint(p, n, log_m)
-    value = _bsc_min_form(p, n, log_m)
-    w = np.arange(n + 1)
-    log_c = gammaln(n + 1) - gammaln(w + 1) - gammaln(n - w + 1)
-    log_like = w * math.log(p) + (n - w) * math.log(1 - p)
-    tail_term = float(np.exp(logsumexp(log_c[w > w_star] + log_like[w > w_star]))) \
-        if w_star < n else 0.0
-    union_term = 0.0
-    if w_star >= 0:
-        sel = w <= w_star
-        union_term = float(np.exp(logsumexp(log_c[sel]) - n * LN2 + log_m))
-    delta = max(ratio * ((w_star + 0.5) / n - p), 1e-12)
-    return BoundResult(theorem="thm1", n=n, rate_nats=cp.rate,
-                       error_ub=min(1.0, value), delta=delta,
-                       tail_kind="exact", components=(tail_term, union_term),
-                       extras={"closed_form": "bsc", "breakpoint": w_star})
-
-
-def _bec_optimized(p, cp: CodeParams) -> BoundResult:
-    n, log_m = cp.n, cp.log_m
-    log2_m = log_m / LN2
-    tau = math.ceil(n - log2_m) - 1  # largest t with 2^(t-n) M < 1
-    value = _bec_min_form(p, n, log_m)
-    t = np.arange(1, n + 1)
-    log_c = gammaln(n + 1) - gammaln(t + 1) - gammaln(n - t + 1)
-    log_like = t * math.log(p) + (n - t) * math.log(1 - p)
-    tail_sel = t > tau
-    tail_term = float(np.exp(logsumexp(log_c[tail_sel] + log_like[tail_sel]))) \
-        if np.any(tail_sel) else 0.0
-    union_sel = t <= tau
-    union_term = 0.0
-    if np.any(union_sel):
-        union_term = float(np.exp(logsumexp(
-            log_c[union_sel] + log_like[union_sel]
-            + (t[union_sel].astype(float) - n) * LN2 + log_m)))
-    delta = max(LN2 * ((tau + 0.5) / n - p), 1e-12)
-    return BoundResult(theorem="thm1", n=n, rate_nats=cp.rate,
-                       error_ub=min(1.0, value), delta=delta,
-                       tail_kind="exact", components=(tail_term, union_term),
-                       extras={"closed_form": "bec", "breakpoint": tau})
 
 
 def _log_m_value(M, dt_variant: bool) -> float:

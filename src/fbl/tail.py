@@ -3,10 +3,11 @@
 The single-letter statistics of a discrete channel take finitely many
 values; when those values share a common lattice step the n-fold sum
 lives on an integer grid and its tail can be computed exactly by a
-log-domain convolution. That distribution depends on neither the
-deviation nor the rate, so it is built once per (channel, composition,
-n, state budget), kept in a small memo, and every deviation is read off
-the same array. Otherwise a seeded Monte-Carlo estimate (with a Wilson
+log-domain convolution (binomial weights for a two-point row). That
+distribution depends on neither the deviation nor the rate, so it is
+built once per (channel, composition, n, state budget), kept in a small
+memo with the statistic's mean, and every deviation is read off the
+same array. Otherwise a seeded Monte-Carlo estimate (with a Wilson
 99% interval) stands in, and continuous-output channels fall back to
 the two-sided sandwich from the tilted-measure module.
 
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.special import gammaln, logsumexp
 
 from . import channel as chn
 from . import nep
@@ -87,22 +88,15 @@ class LatticeSpec:
         return cls(v, np.array(keep_p), lattice_step=step)
 
 
-def _lattice_offsets(rows):
-    """Common step, per-row integer offsets, and the fixed value offset.
-
-    rows: list of (LatticeSpec, count). Single-atom rows contribute only
-    to the fixed offset; multi-atom rows must share a lattice step.
-    """
-    diffs = []
-    for ls, cnt in rows:
-        if ls.values.size > 1:
-            diffs.extend(np.diff(ls.values))
+def _lattice_step(rows):
+    """Common lattice step of rows (LatticeSpec, count); 0.0 for a fixed sum."""
+    diffs = [d for ls, _ in rows for d in np.diff(ls.values)]
     if not diffs:
-        return 0.0, None  # fully deterministic sum
+        return 0.0
     step = rationalize_step(diffs)
     if step is None:
         raise LatticeInfeasibleError("atom values share no common lattice step")
-    return step, diffs
+    return step
 
 
 def _row_pmf_on_lattice(ls: LatticeSpec, step: float):
@@ -130,11 +124,21 @@ def _convolve_log(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _power_log(logp: np.ndarray, n: int, max_states: int) -> np.ndarray:
-    """n-fold log-domain self-convolution, stage by stage."""
+    """n-fold log-domain self-convolution of a row's log-pmf (mass at both ends).
+
+    A two-point law gets binomial weights on multiples of its atoms'
+    distance; three or more points go stage by stage.
+    """
     span = (logp.size - 1) * n + 1
     if span > max_states:
         raise LatticeInfeasibleError(
             f"lattice DP needs {span} states, budget is {max_states}")
+    if logp.size > 1 and np.all(logp[1:-1] == -np.inf):
+        j = np.arange(n + 1)
+        out = np.full(span, -np.inf)
+        out[::logp.size - 1] = (gammaln(n + 1) - gammaln(j + 1) - gammaln(n - j + 1)
+                                + (n - j) * logp[0] + j * logp[-1])
+        return out
     acc = np.array([0.0])
     for _ in range(n):
         acc = _convolve_log(acc, logp)
@@ -146,7 +150,7 @@ def _sum_distribution(rows, max_states):
     for ls, cnt in rows:
         if ls.lattice_step is None and ls.values.size > 1:
             raise LatticeInfeasibleError("spec carries no lattice step")
-    step, diffs = _lattice_offsets(rows)
+    step = _lattice_step(rows)
     offset = 0.0
     acc = np.array([0.0])
     for ls, cnt in rows:
@@ -162,24 +166,17 @@ def _sum_distribution(rows, max_states):
 def _tail_from_distribution(offset, step, log_pmf, threshold, side):
     """Tail mass of the lattice sum; side is 'gt' (strict) or 'le'."""
     if step == 0.0 or log_pmf.size == 1:
-        total = offset
-        if side == "gt":
-            hit = total > threshold + _SLACK * max(1.0, abs(threshold))
-        else:
-            hit = total <= threshold + _SLACK * max(1.0, abs(threshold))
+        edge = threshold + _SLACK * max(1.0, abs(threshold))
+        hit = offset > edge if side == "gt" else offset <= edge
         return 0.0 if hit else -math.inf
     # index k corresponds to value offset + k*step
     kappa = (threshold - offset) / step
     slack = _SLACK * max(1.0, abs(kappa))
     k = np.arange(log_pmf.size)
     mask = (k > kappa + slack) if side == "gt" else (k <= kappa + slack)
-    if not np.any(mask):
-        return -math.inf
-    sel = log_pmf[mask]
-    sel = sel[sel > -np.inf]
-    if sel.size == 0:
-        return -math.inf
-    return float(logsumexp(sel))
+    if np.all(mask):
+        return 0.0  # the whole distribution, whatever its rounding
+    return float(logsumexp(log_pmf[mask]))  # -inf when empty
 
 
 def exact_tail(ls: LatticeSpec, n: int, threshold: float,
@@ -290,11 +287,16 @@ def _statistic_rows(ch, t, n):
     return [(cond_entropy_spec(ch), n)] if t is None else rel_entropy_rows(ch, t, n)
 
 
-def _deviation_event(ch, t, delta: float, n: int):
+def _centre(ch, t) -> float:
+    """Per-letter mean of the statistic: H(X|Y) (t None) or I(t;P)."""
+    return chn.cond_entropy(ch) if t is None else chn.mutual_info(ch, t)
+
+
+def _deviation_event(centre: float, t, delta: float, n: int):
     """(threshold, side) of the deviation event of the n-letter sum."""
     if t is None:
-        return n * (chn.cond_entropy(ch) + delta), "gt"
-    return n * (chn.mutual_info(ch, t) - delta), "le"
+        return n * (centre + delta), "gt"
+    return n * (centre - delta), "le"
 
 
 # One distribution per (channel, composition, n, state budget); channels
@@ -303,9 +305,10 @@ def _deviation_event(ch, t, delta: float, n: int):
 # the memo stays small. LatticeInfeasibleError is raised, not cached.
 @lru_cache(maxsize=4)
 def _lattice_distribution(ch, t, n: int, max_states: int):
+    """(offset, step, log-pmf, per-letter centre) of the n-letter sum."""
     offset, step, log_pmf = _sum_distribution(_statistic_rows(ch, t, n), max_states)
     log_pmf.setflags(write=False)
-    return offset, step, log_pmf
+    return offset, step, log_pmf, _centre(ch, t)
 
 
 def lattice_tail(ch: chn.DiscreteChannel, t: chn.InputType | None, delta: float,
@@ -317,8 +320,9 @@ def lattice_tail(ch: chn.DiscreteChannel, t: chn.InputType | None, delta: float,
     the distribution needs more states than the budget allows.
     """
     budget = budget or TailBudget()
-    offset, step, log_pmf = _lattice_distribution(ch, t, n, budget.max_lattice_states)
-    threshold, side = _deviation_event(ch, t, delta, n)
+    offset, step, log_pmf, centre = _lattice_distribution(
+        ch, t, n, budget.max_lattice_states)
+    threshold, side = _deviation_event(centre, t, delta, n)
     return _exact_estimate(
         _tail_from_distribution(offset, step, log_pmf, threshold, side))
 
@@ -328,7 +332,7 @@ def _discrete_tail(ch, t, delta, n, budget):
     try:
         return lattice_tail(ch, t, delta, n, budget)
     except LatticeInfeasibleError:
-        threshold, side = _deviation_event(ch, t, delta, n)
+        threshold, side = _deviation_event(_centre(ch, t), t, delta, n)
         return mc_tail_rows(_statistic_rows(ch, t, n), threshold, budget.mc_samples,
                             budget.seed, side=side, shard=budget.shard)
 

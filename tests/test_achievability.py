@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 from scipy.stats import binom
 
 from fbl import achievability as ach
@@ -90,6 +91,15 @@ class TestClosedForms:
             direct = ach.bec_closed_form(0.5, n, 2 ** k)
             assert res.error_ub == pytest.approx(direct, rel=1e-12)
 
+    @pytest.mark.parametrize("n, k, value", [(200, 60, 0.00340188), (1000, 400, None)])
+    def test_relabelled_bsc_equals_min_form(self, n, k, value):
+        ch = chn.DiscreteChannel([[0.11, 0.89], [0.89, 0.11]])
+        res = ach.thm1_optimized(ch, ach.CodeParams(n, k=k))
+        direct = ach.bsc_closed_form(0.11, n, 2 ** k)
+        assert res.error_ub == pytest.approx(direct, rel=1e-12)
+        if value is not None:
+            assert res.error_ub == pytest.approx(value, rel=1e-6)
+
     def test_bsc_small_case_enumeration(self):
         # n = 1, M = 2: the min picks the codebook density on the clean
         # outcome and the likelihood on the flip
@@ -132,6 +142,123 @@ class TestClosedForms:
         vals = [ach.bec_closed_form(p, 40, 2 ** 10) for p in (0.2, 0.05, 0.01)]
         assert vals[0] > vals[1] > vals[2]
         assert vals[2] < 1e-6
+
+
+def _golden_lattice_channel(i, j):
+    """A Z-shaped channel whose -ln p(X|Y) has the three atoms 0, i s, j s.
+
+    Output 0 comes from input 0 alone; output 1 has posteriors x^j and x^i
+    with x^i + x^j = 1, so its atoms are j s and i s with s = -ln x.
+    """
+    x = brentq(lambda x: x ** i + x ** j - 1.0, 1e-9, 1.0)
+    w = x ** j  # p(0|1) = (1 - a) / (2 - a) for the row [a, 1 - a]
+    a = (1.0 - 2.0 * w) / (1.0 - w)
+    return [[a, 1.0 - a], [0.0, 1.0]]
+
+
+def _layout(matrix, swap_inputs, outputs):
+    m = np.asarray(matrix, dtype=float)[:, list(outputs)]
+    return chn.DiscreteChannel(m[::-1] if swap_inputs else m)
+
+
+class TestThm1LatticeMinimum:
+    """thm1_optimized reads the exact minimum off the lattice distribution,
+    whatever the channel's layout."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(["bsc", "bec", "golden"]),
+           n=st.integers(1, 300), frac=st.floats(0.01, 1.0))
+    def test_layouts_agree_and_stay_below_tail_plus_union(self, data, kind, n, frac):
+        if kind == "golden":
+            i = data.draw(st.integers(1, 3), label="i")
+            matrix = _golden_lattice_channel(i, data.draw(st.integers(i + 1, 4), label="j"))
+        else:
+            p = data.draw(st.floats(0.01, 0.49), label="p")
+            matrix = (chn.bsc if kind == "bsc" else chn.bec)(p).matrix
+        width = len(matrix[0])
+        layouts = [(False, tuple(range(width)))] + [
+            (data.draw(st.booleans(), label="swap"),
+             tuple(data.draw(st.permutations(range(width)), label="outputs")))
+            for _ in range(2)]
+        k = max(1, round(frac * n))
+        cp = ach.CodeParams(n, k=k)
+        results = [ach.thm1_optimized(_layout(matrix, *lay), cp) for lay in layouts]
+        assert all(r.tail_kind == "exact" for r in results)
+        ref = results[0].error_ub
+        assert all(r.error_ub == pytest.approx(ref, rel=1e-12, abs=1e-300)
+                   for r in results)
+        if kind == "bsc":
+            assert ref == pytest.approx(ach.bsc_closed_form(p, n, 2 ** k), rel=1e-12,
+                                        abs=1e-300)
+        elif kind == "bec":
+            assert ref == pytest.approx(ach.bec_closed_form(p, n, 2 ** k), rel=1e-12,
+                                        abs=1e-300)
+        # the minimum over delta is no larger than tail + union at any delta
+        ch = _layout(matrix, *layouts[-1])
+        for delta in np.geomspace(1e-4, 1.0, 25):
+            assert ref <= ach.thm1_bound(ch, cp, delta).error_ub * (1 + 1e-12)
+
+    def test_components_and_breakpoint(self):
+        # asymmetric: f0 = 1/(1 - 2^-n) scales the tail side
+        ch = chn.DiscreteChannel(_golden_lattice_channel(1, 2))
+        n, k = 60, 6
+        res = ach.thm1_optimized(ch, ach.CodeParams(n, k=k))
+        assert res.error_ub == pytest.approx(sum(res.components), rel=1e-15)
+        assert res.delta > 1e-12
+        at_delta = ach.thm1_bound(ch, ach.CodeParams(n, k=k), res.delta)
+        assert res.components[0] == pytest.approx(at_delta.components[0], rel=1e-12)
+        assert res.components[1] <= at_delta.components[1]
+
+    @pytest.mark.parametrize("ch, k, delta", [
+        # an exact tie at t = 10 erasures: union weight 2^(6 - 16 + 10) = f0
+        (chn.bec(0.5), 6, 0.09375 * LN2),
+        (chn.bsc(0.11), 4, 0.22736809429154742),
+    ], ids=["bec-tie", "bsc"])
+    def test_simulation_deltas(self, ch, k, delta):
+        # fbl simulate and acceptance criterion 7 run the decoder at this delta
+        res = ach.thm1_optimized(ch, ach.CodeParams(16, k=k))
+        assert res.delta == pytest.approx(delta, rel=1e-13)
+
+    def test_without_lattice_falls_back_to_search(self):
+        ch = chn.zchannel(0.5)
+        with pytest.raises(tail.LatticeInfeasibleError):
+            tail.lattice_tail(ch, None, 0.05, 10)
+        cp = ach.CodeParams(10, k=2)
+        budget = tail.TailBudget(mc_samples=2000)
+        res = ach.thm1_optimized(ch, cp, budget)
+        assert res == ach.thm1_bound(ch, cp, res.delta, budget)
+        assert res.tail_kind == "mc"
+
+
+class TestEnsembleRecord:
+    def test_one_record_and_centre_per_key(self, monkeypatch):
+        calls = []
+        mutual_info = chn.mutual_info
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return mutual_info(*args, **kwargs)
+
+        monkeypatch.setattr(chn, "mutual_info", counted)
+        ach._ensemble.cache_clear()
+        tail._lattice_distribution.cache_clear()
+        res = ach.max_rate_at_eps(chn.zchannel(0.4), 200, 1e-3, "thm3", t=UNIF)
+        assert res.error_ub <= 1e-3
+        assert len(calls) < 100
+
+    def test_record_resolves_tail_at_call_time(self, monkeypatch):
+        ch, cp = chn.zchannel(0.5), ach.CodeParams(20, k=2, t=UNIF)
+        before = ach.thm3_bound(ch, cp, 0.1)
+        seen = []
+        ptdelta = tail.ptdelta
+
+        def spy(*args, **kwargs):
+            seen.append(args)
+            return ptdelta(*args, **kwargs)
+
+        monkeypatch.setattr(tail, "ptdelta", spy)
+        assert ach.thm3_bound(ch, cp, 0.1) == before
+        assert len(seen) == 1
 
 
 class TestZClosedForm:

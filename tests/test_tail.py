@@ -271,6 +271,29 @@ class TestPtdelta:
             tail.ptdelta(chn.zchannel(0.5), UNIF, 0.1, 7)
 
 
+class TestPowerLog:
+    # the stage-by-stage oracle rounds once per stage; nearer p = 0 or 1 its
+    # own error at n = 300 approaches 1e-11
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.floats(0.05, 0.95), distance=st.integers(1, 3),
+           n=st.integers(0, 300))
+    def test_two_point_power_equals_stage_by_stage(self, p, distance, n):
+        logp = np.full(distance + 1, -np.inf)
+        logp[0], logp[-1] = math.log1p(-p), math.log(p)
+        oracle = np.array([0.0])
+        for _ in range(n):
+            oracle = tail._convolve_log(oracle, logp)
+        got = tail._power_log(logp, n, 10 ** 7)
+        assert got.shape == oracle.shape
+        finite = oracle > -np.inf
+        assert np.array_equal(got > -np.inf, finite)
+        assert np.max(np.abs(got[finite] - oracle[finite])) <= 1e-11
+
+    def test_two_point_power_respects_state_budget(self):
+        with pytest.raises(tail.LatticeInfeasibleError):
+            tail._power_log(np.log([0.5, 0.5]), 100, 100)
+
+
 class TestLatticeMemo:
     """One lattice distribution per (channel, composition, n, state budget)."""
 
