@@ -9,9 +9,13 @@ Per trial a fresh code, message and noise realization are drawn, which
 matches the triple average the bounds control. Ties (more than one
 codeword inside the decoding set) are counted as errors by default;
 that pessimistic convention keeps the empirical rate on the bounded
-side of the union event. Randomness comes from the counter-based
-Philox generator keyed by (seed, shard), so results are identical for
-any sharding of the trial loop.
+side of the union event.
+
+Randomness comes from the counter-based Philox generator keyed by
+(seed, shard index), one generator per block of 4096 trials. Each trial
+is drawn as a single trial would be, and each slice of a shard's trials
+is then decoded at once in numpy; the output depends only on (seed,
+trials), not on the slice size.
 """
 
 import math
@@ -27,7 +31,9 @@ GALLAGER_N_CAP = 24
 FIXED_TYPE_N_CAP = 20
 FIXED_TYPE_BOOK_CAP = 2 ** 12
 _SHARD = 4096
+_SLICE_CELLS = 1 << 16     # codeword letters drawn and decoded together
 _JAR_SLACK = 1e-12
+_TIE_BREAKS = ("pessimistic", "random")
 
 
 @dataclass(frozen=True)
@@ -119,9 +125,68 @@ def sample_gallager(n: int, k: int, seed: int,
 
 
 def _words_to_bits(words, n):
-    arr = np.array(words, dtype=np.int64)
-    shifts = np.arange(n - 1, -1, -1)
-    return (arr[:, None] >> shifts[None, :]) & 1
+    """Letters (..., n) of packed words, x_1 first."""
+    arr = np.asarray(words, dtype=np.int64)
+    bits = np.empty(arr.shape + (n,), dtype=np.uint8)
+    for j in range(n):
+        bits[..., j] = (arr >> (n - 1 - j)) & 1
+    return bits
+
+
+def _gf2_rank(rows):
+    """Rank of GF(2) bit-row ints, by insertion keyed on each row's leading bit."""
+    basis = [0] * (GALLAGER_N_CAP + 1)     # indexed by leading-bit position
+    rank = 0
+    for r in rows:
+        while r:
+            top = r.bit_length()
+            if not basis[top]:
+                basis[top] = r
+                rank += 1
+                break
+            r ^= basis[top]
+    return rank
+
+
+def _nullspaces(rows, n):
+    """Sorted null space of every trial's parity rows, grouped by dimension.
+
+    rows is a (trials, n-k) array of bit-row ints (x_1 is the MSB).
+    Gauss-Jordan elimination runs over all trials at once, one column per
+    step. Yields (trial indices, words) per null-space dimension d, with
+    words of shape (len(indices), 2**d) sorted as `_enumerate_nullspace`
+    sorts them.
+    """
+    rows = rows.T.copy()                          # (n-k, trials)
+    trials = np.arange(rows.shape[1])
+    unused = np.ones(rows.shape, dtype=bool)      # rows not yet holding a pivot
+    pivot_row = np.full((n, trials.size), -1)     # row holding each column's pivot
+    for col in range(n):
+        bit = 1 << (n - 1 - col)
+        has = (rows & bit) != 0
+        cand = has & unused
+        found = cand.any(axis=0)
+        src = cand.argmax(axis=0)
+        piv = rows[src, trials]
+        rows ^= (has & found) * piv               # clears the bit, in the pivot row too
+        rows[src, trials] = piv
+        unused[src, trials] &= ~found
+        pivot_row[col] = np.where(found, src, -1)
+    col_bits = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
+    free = (pivot_row < 0).T
+    reduced = np.where(free, 0, rows[np.maximum(pivot_row, 0), trials].T)
+    # free column f: its own bit plus the pivot bit of every row that has bit f
+    basis = col_bits + np.stack(
+        [((reduced >> (n - 1 - f)) & 1) @ col_bits for f in range(n)], axis=1)
+    dims = free.sum(axis=1)
+    for d in np.unique(dims):
+        idx = np.flatnonzero(dims == d)
+        vecs = basis[idx][free[idx]].reshape(idx.size, d)
+        words = np.zeros((idx.size, 1), dtype=np.int64)
+        for j in range(d):
+            words = np.concatenate([words, words ^ vecs[:, j:j + 1]], axis=1)
+        words.sort(axis=1)
+        yield idx, words
 
 
 @dataclass(frozen=True)
@@ -129,6 +194,11 @@ class JarOutcome:
     decoded: int | None   # index into the codebook, None on error
     error: bool
     tie: bool
+
+
+def _check_tie_break(tie_break):
+    if tie_break not in _TIE_BREAKS:
+        raise ValueError(f"tie_break must be one of {_TIE_BREAKS}, got {tie_break!r}")
 
 
 def jar_decode(ch, y, delta: float, jar_kind, codebook_bits: np.ndarray,
@@ -141,78 +211,88 @@ def jar_decode(ch, y, delta: float, jar_kind, codebook_bits: np.ndarray,
     fixed-composition decoder (threshold -I(t;P) + delta, strict).
     Success requires the transmitted word to be the only codeword in the
     set; under the default pessimistic convention any tie counts as an
-    error (matching the union event the bounds control).
+    error (matching the union event the bounds control). This is the
+    one-trial case of the decoder `simulate_pe` runs on whole slices.
     """
-    metrics = _jar_metrics(ch, y, jar_kind, codebook_bits)
-    thr = _jar_threshold(ch, jar_kind, delta)
-    if jar_kind[0] == "cond_entropy":
-        inside = metrics <= thr + _JAR_SLACK * max(1.0, abs(thr))
-    else:
-        inside = metrics < thr + _JAR_SLACK * max(1.0, abs(thr))
+    _check_tie_break(tie_break)
+    scores = _letter_scores(ch, jar_kind)(np.asarray(y)[None])
+    inside, differs = _jar_sets(scores, np.asarray(codebook_bits)[None],
+                                np.array([transmitted]), *_jar_limit(ch, jar_kind, delta))
+    inside, differs = inside[0], differs[0]
     member_idx = np.flatnonzero(inside)
-    tx_in = bool(inside[transmitted])
-    others = [i for i in member_idx if not np.array_equal(
-        codebook_bits[i], codebook_bits[transmitted])]
-    tie = tx_in and len(others) > 0
-    if not tx_in:
+    if not inside[transmitted]:
         return JarOutcome(decoded=int(member_idx[0]) if member_idx.size else None,
                           error=True, tie=False)
-    if not others:
+    if not differs[member_idx].any():
         return JarOutcome(decoded=transmitted, error=False, tie=False)
     if tie_break == "pessimistic":
         return JarOutcome(decoded=None, error=True, tie=True)
     pick = int(member_idx[rng.integers(0, member_idx.size)])
-    same = np.array_equal(codebook_bits[pick], codebook_bits[transmitted])
-    return JarOutcome(decoded=pick, error=not same, tie=True)
+    return JarOutcome(decoded=pick, error=bool(differs[pick]), tie=True)
 
 
-def _jar_metrics(ch, y, jar_kind, codebook_bits):
-    """Per-codeword decoding metric, -(1/n) of the summed log score."""
-    n = codebook_bits.shape[1]
+def _letter_scores(ch, jar_kind):
+    """Map received words (..., n) to each input letter's scores (|X|, ..., n).
+
+    A letter's score at an output y is ln p(y|x) less the jar's reference:
+    ln sum_x p(y|x) for the parity-check decoder, ln q_t(y) for the
+    fixed-composition one. A discrete channel reads one (|X|, |Y|) table.
+    """
+    cond = jar_kind[0] == "cond_entropy"
     if isinstance(ch, chn.DiscreteChannel):
         m = ch.matrix
         with np.errstate(divide="ignore"):
-            log_rows = np.log(m)
-        per_pos = log_rows[:, y]                      # (|X|, n)
-    else:
-        per_pos = np.stack([ch.log_likelihood(y, x) for x in range(2)])
+            ref = np.log(m[0] + m[1]) if cond else np.log(chn.mixture_output(ch, jar_kind[1]))
+            table = np.log(m) - ref
+        return lambda ys: table[:, ys]
+
+    def scores(ys):
+        ll = np.stack([ch.log_likelihood(ys, x) for x in range(2)])
+        ref = (np.logaddexp(ll[0], ll[1]) if cond
+               else chn.biawgn_log_mixture(ch, jar_kind[1], ys))
+        return ll - ref
+    return scores
+
+
+def _jar_limit(ch, jar_kind, delta):
+    """The decoding set's metric limit, slack included, and whether it is strict."""
     if jar_kind[0] == "cond_entropy":
-        denom = _log_output_sum(ch, y)
-        score = per_pos - denom[None, :]
+        thr, strict = chn.cond_entropy(ch) + delta, False
     else:
-        t = jar_kind[1]
-        if isinstance(ch, chn.DiscreteChannel):
-            q = chn.mixture_output(ch, t)
-            with np.errstate(divide="ignore"):
-                log_q = np.log(q)[y]
-        else:
-            log_q = chn.biawgn_log_mixture(ch, t, y)
-        score = per_pos - log_q[None, :]
-    picked = np.take_along_axis(score, codebook_bits, axis=0)
-    return -picked.sum(axis=1) / n
+        thr, strict = -chn.mutual_info(ch, jar_kind[1]) + delta, True
+    return thr + _JAR_SLACK * max(1.0, abs(thr)), strict
 
 
-def _log_output_sum(ch, y):
+def _jar_sets(scores, books, sent, limit, strict):
+    """Decoding sets of a batch of trials that share a codebook size.
+
+    scores (|X|, G, n) come from `_letter_scores`, books (G, M, n) hold
+    letters and sent (G,) the transmitted indices. The metric of a word is
+    -(1/n) times its summed scores. Returns (inside, differs), both (G, M):
+    set membership, and whether a word differs from the transmitted one
+    (fixed-composition codebooks can repeat a word).
+    """
+    picked = scores[-1][:, None, :]
+    for x in range(len(scores) - 1):
+        picked = np.where(books == x, scores[x][:, None, :], picked)
+    metrics = -picked.sum(axis=-1) / books.shape[-1]
+    inside = metrics < limit if strict else metrics <= limit
+    words = books[np.arange(sent.size), sent]
+    return inside, (books != words[:, None, :]).any(axis=-1)
+
+
+def _transmit(ch, x_bits, noise):
+    """Channel outputs for inputs (..., n), from noise drawn by `_noise_draw`."""
     if isinstance(ch, chn.DiscreteChannel):
-        s = ch.matrix[0] + ch.matrix[1]
-        return np.log(s)[y]
-    return np.logaddexp(ch.log_likelihood(y, 0), ch.log_likelihood(y, 1))
-
-
-def _jar_threshold(ch, jar_kind, delta):
-    if jar_kind[0] == "cond_entropy":
-        return chn.cond_entropy(ch) + delta
-    return -chn.mutual_info(ch, jar_kind[1]) + delta
-
-
-def _transmit(ch, x_bits, rng):
-    n = x_bits.size
-    if isinstance(ch, chn.DiscreteChannel):
-        u = rng.random(n)
         cdf = np.cumsum(ch.matrix, axis=1)
-        return (u[:, None] > cdf[x_bits]).sum(axis=1)
+        return (noise[..., None] > cdf[x_bits]).sum(axis=-1)
     signs = np.where(x_bits == 0, 1.0, -1.0)
-    return signs * ch.amplitude + rng.standard_normal(n)
+    return signs * ch.amplitude + noise
+
+
+def _noise_draw(ch, rng):
+    """The generator method whose draws `_transmit` turns into outputs."""
+    return rng.random if isinstance(ch, chn.DiscreteChannel) else rng.standard_normal
 
 
 def _sample_fixed_type(t: chn.InputType, n: int, size: int, rng):
@@ -225,19 +305,65 @@ def _sample_fixed_type(t: chn.InputType, n: int, size: int, rng):
     return book
 
 
+def _draw_slice(ch, spec, size, rng):
+    """Draw `size` trials, each in the order of a single trial.
+
+    Per trial: the code (the parity bits, or the codebook's permutations),
+    the message index, then the noise. The parity-check message space
+    excludes the all-zero word, and its size needs the rank, so the rank
+    is the one thing computed inside the loop. Returns the codebooks as
+    (trial indices, letters) batches of one codebook size, the message
+    indices and the noise.
+    """
+    n, k = spec.n, spec.k
+    draw_noise = _noise_draw(ch, rng)
+    sent = np.empty(size, dtype=np.int64)
+    noise = np.empty((size, n))
+    if isinstance(spec, GallagerSpec):
+        weights = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
+        rows = np.empty((size, n - k), dtype=np.int64)
+        for i in range(size):
+            rows[i] = rng.integers(0, 2, size=(n - k, n), dtype=np.int64) @ weights
+            sent[i] = rng.integers(1, 1 << (n - _gf2_rank(rows[i].tolist())))
+            draw_noise(out=noise[i])
+        return _gallager_books(rows, n), sent, noise
+    books = np.empty((size, 1 << k, n), dtype=np.min_scalar_type(len(spec.t.probs) - 1))
+    for i in range(size):
+        books[i] = _sample_fixed_type(spec.t, n, 1 << k, rng)
+        sent[i] = rng.integers(0, 1 << k)
+        draw_noise(out=noise[i])
+    return [(np.arange(size), books)], sent, noise
+
+
+def _gallager_books(rows, n):
+    """The sorted null-space codebooks of a slice, at most _SLICE_CELLS letters a batch."""
+    for idx, words in _nullspaces(rows, n):
+        step = max(1, _SLICE_CELLS // words[0].size // n)
+        for lo in range(0, idx.size, step):
+            yield idx[lo:lo + step], _words_to_bits(words[lo:lo + step], n)
+
+
 def simulate_pe(ch, spec, delta: float, trials: int, seed: int,
                 tie_break: str = "pessimistic") -> SimReport:
     """Empirical word-error rate of the ensemble under threshold-set decoding.
 
     Every trial draws a fresh code, a fresh message (the all-zero word is
-    excluded from the parity-check message space) and fresh noise.
+    excluded from the parity-check message space) and fresh noise. Each
+    shard draws its trials in slices of about _SLICE_CELLS codeword
+    letters and decodes a slice at once. Under tie_break="random" a tied
+    trial's pick is drawn from the shard's generator after all of the
+    shard's trials, in trial order, so the trials themselves are those of
+    a pessimistic run at the same seed.
     """
     if trials < 1000:
         raise ValueError("use at least 1000 trials")
+    _check_tie_break(tie_break)
     if isinstance(spec, GallagerSpec):
         n, k = spec.n, spec.k
         if n > GALLAGER_N_CAP:
             raise ValueError(f"parity-check simulation capped at n={GALLAGER_N_CAP}")
+        if not 1 <= k < n:
+            raise ValueError(f"need 1 <= k < n <= {GALLAGER_N_CAP}, got n={n}, k={k}")
         jar_kind = ("cond_entropy",)
     elif isinstance(spec, FixedTypeSpec):
         n, k = spec.n, spec.k
@@ -247,28 +373,33 @@ def simulate_pe(ch, spec, delta: float, trials: int, seed: int,
     else:
         raise TypeError(f"unknown ensemble spec {spec!r}")
 
-    errors = 0
-    ties = 0
-    done = 0
-    shard_index = 0
-    while done < trials:
-        m = min(_SHARD, trials - done)
-        rng = philox_rng(seed, shard_index)
-        for _ in range(m):
-            if isinstance(spec, GallagerSpec):
-                code = sample_gallager(n, k, seed, rng=rng)
-                q = int(rng.integers(1, len(code.codewords)))
-                book = _words_to_bits(code.codewords, n)
-            else:
-                book = _sample_fixed_type(spec.t, n, 2 ** k, rng)
-                q = int(rng.integers(0, book.shape[0]))
-            y = _transmit(ch, book[q], rng)
-            out = jar_decode(ch, y, delta, jar_kind, book, q,
-                             tie_break=tie_break, rng=rng)
-            errors += out.error
-            ties += out.tie
-        done += m
-        shard_index += 1
+    scores = _letter_scores(ch, jar_kind)
+    limit, strict = _jar_limit(ch, jar_kind, delta)
+    per_slice = max(1, _SLICE_CELLS // (n << k))
+    missed = ties = wrong_picks = 0
+    for shard, start in enumerate(range(0, trials, _SHARD)):
+        rng = philox_rng(seed, shard)
+        m = min(_SHARD, trials - start)
+        tied = []             # per tied trial, whether each set member is wrong
+        for lo in range(0, m, per_slice):
+            batches, sent, noise = _draw_slice(ch, spec, min(per_slice, m - lo), rng)
+            slice_tied = {}
+            for idx, books in batches:
+                at = np.arange(idx.size)
+                tx = sent[idx]
+                ys = _transmit(ch, books[at, tx], noise[idx])
+                inside, differs = _jar_sets(scores(ys), books, tx, limit, strict)
+                tx_in = inside[at, tx]
+                tie = tx_in & (inside & differs).any(axis=1)
+                missed += int(np.count_nonzero(~tx_in))
+                ties += int(np.count_nonzero(tie))
+                if tie_break == "random":
+                    for j in np.flatnonzero(tie):
+                        slice_tied[idx[j]] = differs[j][inside[j]]
+            tied += [slice_tied[i] for i in sorted(slice_tied)]
+        for wrong in tied:
+            wrong_picks += bool(wrong[rng.integers(0, wrong.size)])
+    errors = missed + (ties if tie_break == "pessimistic" else wrong_picks)
     lo, hi = wilson_interval(errors, trials)
     return SimReport(trials=trials, errors=errors, ties_broken=ties,
                      empirical_pe=errors / trials,

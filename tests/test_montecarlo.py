@@ -7,6 +7,7 @@ from fbl import achievability as ach
 from fbl import channel as chn
 from fbl import montecarlo as mc
 from fbl.numkit import philox_rng
+from fbl.tail import wilson_interval
 
 UNIF = chn.InputType.uniform(2)
 
@@ -155,3 +156,90 @@ class TestSimulatePe:
         book = mc._sample_fixed_type(UNIF, 10, 16, rng)
         assert book.shape == (16, 10)
         assert np.all(book.sum(axis=1) == 5)
+
+
+def per_trial_oracle(ch, spec, delta, trials, seed):
+    """The one-trial-at-a-time simulation loop, as the reference."""
+    n, k = spec.n, spec.k
+    gallager = isinstance(spec, mc.GallagerSpec)
+    jar_kind = ("cond_entropy",) if gallager else ("rel_entropy", spec.t)
+    errors = ties = 0
+    for shard, start in enumerate(range(0, trials, mc._SHARD)):
+        rng = philox_rng(seed, shard)
+        for _ in range(min(mc._SHARD, trials - start)):
+            if gallager:
+                code = mc.sample_gallager(n, k, seed, rng=rng)
+                q = int(rng.integers(1, len(code.codewords)))
+                book = mc._words_to_bits(code.codewords, n)
+            else:
+                book = mc._sample_fixed_type(spec.t, n, 2 ** k, rng)
+                q = int(rng.integers(0, book.shape[0]))
+            y = mc._transmit(ch, book[q], mc._noise_draw(ch, rng)(n))
+            out = mc.jar_decode(ch, y, delta, jar_kind, book, q)
+            errors += out.error
+            ties += out.tie
+    return mc.SimReport(trials=trials, errors=errors, ties_broken=ties,
+                        empirical_pe=errors / trials,
+                        wilson_99_interval=wilson_interval(errors, trials),
+                        seed=seed)
+
+
+# 5,000 trials cross the 4096-trial shard boundary and end on a partial slice
+BATCHED_CASES = [
+    (chn.bsc(0.11), mc.GallagerSpec(16, 4), 0.2274, 1),
+    (chn.bec(0.5), mc.GallagerSpec(16, 6), 0.065, 12),
+    (chn.zchannel(0.5), mc.FixedTypeSpec(8, 2, UNIF), 0.1, 13),
+    (chn.BiAwgn(1.0), mc.GallagerSpec(12, 3), 0.2, 3),
+    (chn.bsc(0.11), mc.GallagerSpec(6, 2), 0.2, 4),
+]
+BATCHED_IDS = ["bsc-16-4", "bec-16-6", "z-fixed-8-2", "biawgn-0db-12-3",
+               "bsc-rank-deficient-6-2"]
+
+
+class TestBatchedSimulator:
+    @pytest.mark.parametrize("ch, spec, delta, seed", BATCHED_CASES, ids=BATCHED_IDS)
+    def test_equals_per_trial_loop(self, ch, spec, delta, seed):
+        trials = 5000
+        assert trials % mc._SHARD % max(1, mc._SLICE_CELLS // (spec.n << spec.k))
+        rep = mc.simulate_pe(ch, spec, delta, trials, seed)
+        assert rep == per_trial_oracle(ch, spec, delta, trials, seed)
+        assert 0 < rep.ties_broken < rep.errors < trials
+
+    @pytest.mark.parametrize("n, k", [(16, 4), (6, 2), (10, 3)])
+    def test_nullspaces_match_reference_elimination(self, n, k):
+        rng = philox_rng(5, 0)
+        weights = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
+        rows = rng.integers(0, 2, size=(300, n - k, n), dtype=np.int64) @ weights
+        rows[0] = 0
+        seen = []
+        for idx, words in mc._nullspaces(rows, n):
+            for i, w in zip(idx, words):
+                reference = mc._enumerate_nullspace(mc._rref_nullspace(rows[i].tolist(), n))
+                assert w.tolist() == reference
+                assert len(reference) == 2 ** (n - mc._gf2_rank(rows[i].tolist()))
+            seen += idx.tolist()
+        assert sorted(seen) == list(range(300))
+
+    def test_random_tie_break_keeps_the_trials(self):
+        ch, spec = chn.bsc(0.11), mc.GallagerSpec(12, 3)
+        pess = mc.simulate_pe(ch, spec, 0.3, 5000, seed=2)
+        rand = mc.simulate_pe(ch, spec, 0.3, 5000, seed=2, tie_break="random")
+        assert rand.ties_broken == pess.ties_broken > 0
+        assert pess.errors - pess.ties_broken <= rand.errors < pess.errors
+
+    @pytest.mark.parametrize("tie_break", mc._TIE_BREAKS)
+    def test_report_does_not_depend_on_slice_size(self, monkeypatch, tie_break):
+        ch, spec = chn.bsc(0.11), mc.GallagerSpec(12, 3)
+        base = mc.simulate_pe(ch, spec, 0.3, 5000, seed=2, tie_break=tie_break)
+        monkeypatch.setattr(mc, "_SLICE_CELLS", 3000)
+        assert mc.simulate_pe(ch, spec, 0.3, 5000, seed=2, tie_break=tie_break) == base
+
+    def test_unknown_tie_break_is_rejected(self):
+        ch = chn.bsc(0.11)
+        with pytest.raises(ValueError, match="tie_break"):
+            mc.simulate_pe(ch, mc.GallagerSpec(8, 2), 0.1, 1000, seed=0,
+                           tie_break="Pessimistic")
+        book = mc._words_to_bits(mc.sample_gallager(8, 2, seed=0).codewords, 8)
+        with pytest.raises(ValueError, match="tie_break"):
+            mc.jar_decode(ch, book[1], 0.1, ("cond_entropy",), book, 1,
+                          tie_break="first")
