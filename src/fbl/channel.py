@@ -6,8 +6,16 @@ The AWGN convention maps inputs {0, 1} to signals {+sqrt(snr), -sqrt(snr)}
 with unit-variance noise, i.e. snr = signal power / noise variance; this
 only fixes labeling and does not affect any bound value.
 
+Both ensembles decode by thresholding one single-letter statistic:
+-ln p(X|Y) for the parity-check ensemble and ln p(Y|x)/q_t(Y) for the
+fixed-composition one. statistic() is the one place their laws are
+built; the information moments here, the lattice tails and the tilt
+families all read its groups.
+
 All information quantities are in nats. Expectations run over the support
-of the joint law, so zero transition probabilities contribute nothing.
+of the joint law and of the composition, so zero transition probabilities
+and unused inputs contribute nothing. BiAWGN expectations use a fixed
+199-point Gauss-Hermite rule.
 """
 
 import math
@@ -56,7 +64,6 @@ class DiscreteChannel:
 class BiAwgn:
     """Binary-input AWGN channel; snr is linear (signal power over noise variance)."""
     snr: float
-    quad_order: int = 199
 
     def __post_init__(self):
         if not self.snr > 0:
@@ -195,7 +202,6 @@ class InfoSummary:
     sigma2_h: float | None
     m3_h: float | None
     mutual_info_nats: float | None = None
-    divergences: tuple | None = None
     sigma2_d: float | None = None
     m3_d: float | None = None
 
@@ -208,12 +214,18 @@ def log_type_class_size(t: InputType, n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# conditional-entropy family (uniform binary input)
+# the decoding statistic of each ensemble
 # ---------------------------------------------------------------------------
 
 def _require_binary(ch: ChannelModel):
     if isinstance(ch, DiscreteChannel) and ch.input_size != 2:
         raise ValueError(f"binary-input channel required, |X|={ch.input_size}")
+
+
+def _check_support(ch: ChannelModel, t: InputType):
+    size = ch.matrix.shape[0] if isinstance(ch, DiscreteChannel) else 2
+    if len(t.probs) != size:
+        raise ValueError(f"type has {len(t.probs)} symbols, channel has {size}")
 
 
 def posterior_atoms(ch: DiscreteChannel):
@@ -228,64 +240,6 @@ def posterior_atoms(ch: DiscreteChannel):
                 values.append(math.log(denom[y]) - math.log(m[x, y]))
                 probs.append(0.5 * m[x, y])
     return np.array(values), np.array(probs)
-
-
-def _biawgn_neglog_posterior(a: float, y: np.ndarray) -> np.ndarray:
-    """-ln p(0|y) in the symmetric representation, = softplus(-2 a y)."""
-    return np.logaddexp(0.0, -2.0 * a * y)
-
-
-def cond_entropy(ch: ChannelModel, order: int | None = None) -> float:
-    """H(X|Y) in nats under uniform binary input."""
-    _require_binary(ch)
-    if isinstance(ch, DiscreteChannel):
-        v, p = posterior_atoms(ch)
-        return float(p @ v)
-    rule = gauss_hermite(order or ch.quad_order)
-    a = ch.amplitude
-    y = rule.gaussian_nodes(mean=a)
-    return float(rule.gaussian_weights @ _biawgn_neglog_posterior(a, y))
-
-
-def linear_capacity(ch: ChannelModel, order: int | None = None) -> float:
-    """ln 2 - H(X|Y), the rate scale of the parity-check ensemble bounds."""
-    return math.log(2.0) - cond_entropy(ch, order=order)
-
-
-def is_symmetric(ch: ChannelModel) -> bool:
-    """True when -ln p(0|Y)|X=0 and -ln p(1|Y)|X=1 are equidistributed.
-
-    For such channels the message-puncturing factor 1/(1 - 2^-n) in the
-    parity-check ensemble bounds can be dropped.
-    """
-    if isinstance(ch, BiAwgn):
-        return True
-    _require_binary(ch)
-    m = ch.matrix
-    denom = m[0] + m[1]
-
-    def law(x):
-        pairs = {}
-        for y in range(ch.output_size):
-            if m[x, y] > 0:
-                v = round(math.log(denom[y]) - math.log(m[x, y]), 12)
-                pairs[v] = pairs.get(v, 0.0) + m[x, y]
-        return pairs
-
-    l0, l1 = law(0), law(1)
-    if set(l0) != set(l1):
-        return False
-    return all(abs(l0[k] - l1[k]) < 1e-10 for k in l0)
-
-
-# ---------------------------------------------------------------------------
-# relative-entropy family (arbitrary discrete input, composition t)
-# ---------------------------------------------------------------------------
-
-def _check_support(ch: ChannelModel, t: InputType):
-    size = ch.matrix.shape[0] if isinstance(ch, DiscreteChannel) else 2
-    if len(t.probs) != size:
-        raise ValueError(f"type has {len(t.probs)} symbols, channel has {size}")
 
 
 def mixture_output(ch: ChannelModel, t: InputType):
@@ -313,85 +267,131 @@ def biawgn_log_mixture(ch: BiAwgn, t: InputType, y: np.ndarray) -> np.ndarray:
     return np.logaddexp(terms[0], terms[1])
 
 
-def divergences(ch: ChannelModel, t: InputType, order: int | None = None) -> np.ndarray:
-    """Per-input divergences D(t, x) between p(.|x) and the mixture q_t.
+@dataclass(frozen=True, eq=False)
+class StatGroup:
+    """The law of the statistic given one input, and that input's weight.
 
-    D(t, x) is +inf for an input (necessarily outside the support of t)
-    whose outputs are unreachable under the mixture.
+    probs/values are its atoms: exact on a discrete channel, and on
+    BiAwgn the Gauss-Hermite nodes of the output's unit-variance Gaussian
+    at `centre`. There value_fn(y) is the statistic at output y, for
+    integrands the fixed nodes do not resolve (the tilted laws).
     """
+    weight: float
+    probs: np.ndarray
+    values: np.ndarray
+    centre: float | None = None
+    value_fn: object = None
+
+
+def _gaussian_group(weight: float, centre: float, value_fn) -> StatGroup:
+    rule = gauss_hermite()
+    return StatGroup(weight, rule.gaussian_weights,
+                     value_fn(rule.gaussian_nodes(mean=centre)), centre, value_fn)
+
+
+def statistic(ch: ChannelModel, t: InputType | None = None) -> list:
+    """Single-letter law of the decoding statistic, as StatGroups.
+
+    t None: -ln p(X|Y) under uniform binary input, the parity-check
+    ensemble's statistic, as one group of weight 1. Otherwise
+    ln(p(Y|x)/q_t(Y)), the fixed-composition ensemble's, as one group of
+    weight t(x) for each x in the support of t; so an input that t leaves
+    unused never enters.
+    """
+    if t is None:
+        if isinstance(ch, DiscreteChannel):
+            v, p = posterior_atoms(ch)
+            return [StatGroup(1.0, p, v)]
+        a = ch.amplitude
+        # -ln p(0|y) in the symmetric representation: softplus(-2 a y)
+        return [_gaussian_group(1.0, a, lambda y: np.logaddexp(0.0, -2.0 * a * y))]
     _check_support(ch, t)
-    if isinstance(ch, DiscreteChannel):
-        q = mixture_output(ch, t)
-        out = np.zeros(ch.input_size)
-        for x in range(ch.input_size):
-            row = ch.matrix[x]
-            mask = row > 0
-            if np.any(q[mask] <= 0.0):
-                out[x] = math.inf
-                continue
-            out[x] = float(row[mask] @ (np.log(row[mask]) - np.log(q[mask])))
-        return out
-    rule = gauss_hermite(order or ch.quad_order)
-    out = np.zeros(2)
-    for x in range(2):
-        s = ch.amplitude if x == 0 else -ch.amplitude
-        y = rule.gaussian_nodes(mean=s)
-        u = ch.log_likelihood(y, x) - biawgn_log_mixture(ch, t, y)
-        out[x] = float(rule.gaussian_weights @ u)
-    return out
-
-
-def mutual_info(ch: ChannelModel, t: InputType, order: int | None = None) -> float:
-    """I(t; P) = sum over the support of t of t(x) D(t, x), in nats."""
-    divs = divergences(ch, t, order=order)
     tf = t.as_floats()
-    return float(sum(tf[x] * divs[x] for x in t.support))
+    if isinstance(ch, BiAwgn):
+        return [_gaussian_group(
+                    float(tf[x]), ch.amplitude if x == 0 else -ch.amplitude,
+                    lambda y, x=x: ch.log_likelihood(y, x) - biawgn_log_mixture(ch, t, y))
+                for x in t.support]
+    q = mixture_output(ch, t)
+    groups = []
+    for x in t.support:
+        row = ch.matrix[x]
+        mask = row > 0
+        groups.append(StatGroup(float(tf[x]), row[mask],
+                                np.log(row[mask]) - np.log(q[mask])))
+    return groups
 
 
-def moment_summary(ch: ChannelModel, t: InputType | None = None,
-                   order: int | None = None) -> InfoSummary:
+def _moments(groups):
+    """Mean of the statistic, and the weighted variance and third absolute
+    central moment of its law given each input."""
+    mean = var = m3 = 0.0
+    for g in groups:
+        g_mean, g_var, g_m3 = central_moments(g.values, g.probs)
+        mean += g.weight * g_mean
+        var += g.weight * g_var
+        m3 += g.weight * g_m3
+    return mean, var, m3
+
+
+def cond_entropy(ch: ChannelModel) -> float:
+    """H(X|Y) in nats under uniform binary input."""
+    return _moments(statistic(ch))[0]
+
+
+def linear_capacity(ch: ChannelModel) -> float:
+    """ln 2 - H(X|Y), the rate scale of the parity-check ensemble bounds."""
+    return math.log(2.0) - cond_entropy(ch)
+
+
+def mutual_info(ch: ChannelModel, t: InputType) -> float:
+    """I(t; P) = sum over the support of t of t(x) D(p(.|x) || q_t), in nats."""
+    return _moments(statistic(ch, t))[0]
+
+
+def is_symmetric(ch: ChannelModel) -> bool:
+    """True when -ln p(0|Y)|X=0 and -ln p(1|Y)|X=1 are equidistributed.
+
+    For such channels the message-puncturing factor 1/(1 - 2^-n) in the
+    parity-check ensemble bounds can be dropped.
+    """
+    if isinstance(ch, BiAwgn):
+        return True
+    values, probs = posterior_atoms(ch)
+    split = np.count_nonzero(ch.matrix[0])  # the atoms of input 0 come first
+
+    def law(atoms):
+        pairs = {}
+        for v, p in atoms:
+            key = round(float(v), 12)
+            pairs[key] = pairs.get(key, 0.0) + 2.0 * p
+        return pairs
+
+    atoms = list(zip(values, probs))
+    l0, l1 = law(atoms[:split]), law(atoms[split:])
+    if set(l0) != set(l1):
+        return False
+    return all(abs(l0[k] - l1[k]) < 1e-10 for k in l0)
+
+
+def moment_summary(ch: ChannelModel, t: InputType | None = None) -> InfoSummary:
     """First three moments of both single-letter statistics.
 
     The conditional-entropy fields are filled for binary-input channels
-    (uniform input); the divergence fields require a composition t.
-    Raises DegenerateChannelError when the relevant variance vanishes.
+    (uniform input); the divergence fields require a composition t, and
+    their variance and third moment are t-weighted averages over the
+    inputs. Raises DegenerateChannelError when the relevant variance
+    vanishes.
     """
     binary = isinstance(ch, BiAwgn) or ch.input_size == 2
     h = cl = s2h = m3h = None
     if binary:
-        if isinstance(ch, DiscreteChannel):
-            v, p = posterior_atoms(ch)
-        else:
-            rule = gauss_hermite(order or ch.quad_order)
-            a = ch.amplitude
-            y = rule.gaussian_nodes(mean=a)
-            v, p = _biawgn_neglog_posterior(a, y), rule.gaussian_weights
-        h, s2h, m3h = central_moments(v, p)
+        h, s2h, m3h = _moments(statistic(ch))
         cl = math.log(2.0) - h
 
-    mi = divs = s2d = m3d = None
+    mi = s2d = m3d = None
     if t is not None:
-        _check_support(ch, t)
-        tf = t.as_floats()
-        divs = divergences(ch, t, order=order)
-        mi = float(tf @ divs)
-        s2d = m3d = 0.0
-        for x in t.support:
-            if isinstance(ch, DiscreteChannel):
-                row = ch.matrix[x]
-                mask = row > 0
-                q = mixture_output(ch, t)
-                u = np.log(row[mask]) - np.log(q[mask])
-                w = row[mask]
-            else:
-                rule = gauss_hermite(order or ch.quad_order)
-                s = ch.amplitude if x == 0 else -ch.amplitude
-                y = rule.gaussian_nodes(mean=s)
-                u = ch.log_likelihood(y, x) - biawgn_log_mixture(ch, t, y)
-                w = rule.gaussian_weights
-            _, var_x, m3_x = central_moments(u, w)
-            s2d += tf[x] * var_x
-            m3d += tf[x] * m3_x
+        mi, s2d, m3d = _moments(statistic(ch, t))
         if s2d <= 1e-14:
             raise DegenerateChannelError(
                 "divergence statistic has zero variance for this composition")
@@ -401,5 +401,4 @@ def moment_summary(ch: ChannelModel, t: InputType | None = None,
 
     return InfoSummary(cond_entropy_nats=h, linear_capacity_nats=cl,
                        sigma2_h=s2h, m3_h=m3h, mutual_info_nats=mi,
-                       divergences=None if divs is None else tuple(divs),
                        sigma2_d=s2d, m3_d=m3d)

@@ -36,13 +36,3 @@ class TailEstimate:
         if self.kind == "exact":
             return self.value
         return self.upper
-
-    @property
-    def log_pessimistic(self) -> float:
-        import math
-        if self.kind == "exact" and self.log_value is not None:
-            return self.log_value
-        if self.kind == "sandwich" and self.log_upper is not None:
-            return self.log_upper
-        p = self.pessimistic
-        return math.log(p) if p > 0 else float("-inf")

@@ -9,15 +9,19 @@ Two exponential-tilt families are implemented on top of a common core:
   sum of ln(p(Y|x)/q_t(Y)) along a fixed-composition input, whose lower
   tail plays the same role for fixed-type codebooks.
 
-For each family the module exposes the tilted moments, the convex rate
-function with its parametric slope identity, Berry-Esseen-corrected
-sandwich factors, and a plain central-limit interval. Probabilities are
-assembled in the log domain so block lengths in the thousands stay
-representable.
+Both read the statistic's law from channel.statistic as weighted groups
+(exact atoms, or a Gaussian output on BiAWGN) and differ only in a
+sign: +1 for an upper-tail event, -1 for a lower-tail one. The tilted
+moments, the deviation ceiling and the rate function are each one
+weighted sum over the groups. For each family the module exposes the
+tilted moments, the convex rate function with its parametric slope
+identity, Berry-Esseen-corrected sandwich factors, and a plain
+central-limit interval. Probabilities are assembled in the log domain
+so block lengths in the thousands stay representable.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -59,7 +63,6 @@ class RatePoint:
     delta: float
     rate_value: float
     slope_lambda: float
-    delta_star: float
 
 
 @dataclass(frozen=True)
@@ -96,145 +99,89 @@ def _biawgn_tilted(center, lam_shift, log_tilt, value_fn):
     return (log_z, *central_moments(value_fn(y), np.exp(logw - log_z)))
 
 
+def _group_tilt(g: chn.StatGroup, sign: float):
+    """(tilted moments as a function of lambda, sup of sign * value) of one group."""
+    if g.value_fn is None:
+        logp = np.log(g.probs)
+        return (lambda lam: _tilted_discrete(logp, g.values, lam, sign),
+                float(np.max(sign * g.values)))
+    # the tilt exp(sign lam v(y)) grows like exp(-2 centre lam y) for either
+    # sign, which moves the Gaussian's mass by -2 centre lam
+    return (lambda lam: _biawgn_tilted(g.centre, -2.0 * g.centre * lam,
+                                       lambda y: sign * lam * g.value_fn(y), g.value_fn),
+            math.inf)
+
+
 class TiltFamily:
     """A channel bound to one of the two tilt families.
 
     family is "cond_entropy" (uniform binary input; t ignored) or
-    "rel_entropy" (requires an input composition t). Instances cache
-    tilted statistics keyed by lambda, so sweeps and root solves reuse
-    quadrature work.
+    "rel_entropy" (requires an input composition t). sign is +1 when the
+    family's deviation event is the upper tail of its statistic and -1
+    when it is the lower tail; the deviation at tilt lambda is then
+    sign * (tilted mean - center). Instances cache tilted statistics
+    keyed by lambda, so sweeps and root solves reuse quadrature work.
     """
 
-    def __init__(self, family: str, ch, t: chn.InputType | None = None,
-                 be_const: float | None = None):
+    def __init__(self, family: str, ch, t: chn.InputType | None = None):
         if family not in ("cond_entropy", "rel_entropy"):
             raise ValueError(f"unknown family {family!r}")
         self.family = family
         self.channel = ch
         self.t = t
         self._cache: dict = {}
-        if family == "cond_entropy":
-            self.be_const = BERRY_ESSEEN_IID if be_const is None else be_const
-            summary = chn.moment_summary(ch)
-            self.center = summary.cond_entropy_nats  # mean of the statistic
-            self.sigma2 = summary.sigma2_h
-            self.m3 = summary.m3_h
-            if isinstance(ch, chn.DiscreteChannel):
-                v, p = chn.posterior_atoms(ch)
-                self._groups = [(1.0, np.log(p), v)]
-            else:
-                self._groups = None
-        else:
-            if t is None:
-                raise ValueError("rel_entropy family needs an input composition")
-            self.be_const = BERRY_ESSEEN_INID if be_const is None else be_const
-            summary = chn.moment_summary(ch, t)
-            self.center = summary.mutual_info_nats
-            self.sigma2 = summary.sigma2_d
-            self.m3 = summary.m3_d
-            if isinstance(ch, chn.DiscreteChannel):
-                q = chn.mixture_output(ch, t)
-                tf = t.as_floats()
-                groups = []
-                for x in t.support:
-                    row = ch.matrix[x]
-                    mask = row > 0
-                    u = np.log(row[mask]) - np.log(q[mask])
-                    groups.append((float(tf[x]), np.log(row[mask]), u))
-                self._groups = groups
-            else:
-                self._groups = None
+        rel = family == "rel_entropy"
+        if rel and t is None:
+            raise ValueError("rel_entropy family needs an input composition")
+        self.sign = -1.0 if rel else 1.0
+        self.be_const = BERRY_ESSEEN_INID if rel else BERRY_ESSEEN_IID
+        s = chn.moment_summary(ch, t if rel else None)
+        # center is the mean of the statistic
+        self.center, self.sigma2, self.m3 = (
+            (s.mutual_info_nats, s.sigma2_d, s.m3_d) if rel
+            else (s.cond_entropy_nats, s.sigma2_h, s.m3_h))
+        groups = chn.statistic(ch, t if rel else None)
+        self._groups = [(g.weight, *_group_tilt(g, self.sign)) for g in groups]
         if not self.sigma2 > 0:
             raise chn.DegenerateChannelError("zero-variance family")
-
-    # -- single-letter tilted statistics ------------------------------------
-
-    def _stats_discrete(self, lam):
-        if self.family == "cond_entropy":
-            weight, logp, v = self._groups[0]
-            log_z, mean, var, m3 = _tilted_discrete(logp, v, lam, sign=+1.0)
-            return TiltedStats(lam, mean - self.center, var, m3, log_z)
-        log_mgf = 0.0
-        delta_acc = self.center
-        var_acc = 0.0
-        m3_acc = 0.0
-        for weight, logp, u in self._groups:
-            log_z, mean, var, m3 = _tilted_discrete(logp, u, lam, sign=-1.0)
-            log_mgf += weight * log_z
-            delta_acc -= weight * mean
-            var_acc += weight * var
-            m3_acc += weight * m3
-        return TiltedStats(lam, delta_acc, var_acc, m3_acc, log_mgf)
-
-    def _stats_biawgn(self, lam):
-        ch = self.channel
-        a = ch.amplitude
-        if self.family == "cond_entropy":
-            def value_fn(y):
-                return np.logaddexp(0.0, -2.0 * a * y)
-
-            log_z, mean, var, m3 = _biawgn_tilted(
-                a, -2.0 * a * lam, lambda y: lam * value_fn(y), value_fn)
-            return TiltedStats(lam, mean - self.center, var, m3, log_z)
-        t = self.t
-        tf = t.as_floats()
-        log_mgf = 0.0
-        delta_acc = self.center
-        var_acc = 0.0
-        m3_acc = 0.0
-        for x in t.support:
-            s = a if x == 0 else -a
-
-            def value_fn(y, x=x):
-                return ch.log_likelihood(y, x) - chn.biawgn_log_mixture(ch, t, y)
-
-            log_z, mean, var, m3 = _biawgn_tilted(
-                s, -2.0 * s * lam, lambda y, x=x: -lam * value_fn(y, x), value_fn)
-            log_mgf += tf[x] * log_z
-            delta_acc -= tf[x] * mean
-            var_acc += tf[x] * var
-            m3_acc += tf[x] * m3
-        return TiltedStats(lam, delta_acc, var_acc, m3_acc, log_mgf)
+        self.lambda_cap = (math.inf if self.delta_star() < math.inf
+                           else _LAMBDA_CAP_CONTINUOUS)
 
     def tilted_stats(self, lam: float) -> TiltedStats:
-        """Deviation, variance, third moment and log-MGF at tilt lambda."""
+        """Deviation, variance, third moment and log-MGF at tilt lambda.
+
+        Each is the weighted sum of the groups' tilted values.
+        """
         if lam < 0:
             raise TiltRangeError("tilt parameter must be nonnegative")
         hit = self._cache.get(lam)
         if hit is not None:
             return hit
-        if self._groups is not None:
-            out = self._stats_discrete(lam)
-        else:
-            out = self._stats_biawgn(lam)
+        log_mgf = var = m3 = 0.0
+        delta = -self.sign * self.center
+        for weight, tilt, _ in self._groups:
+            log_z, mean, g_var, g_m3 = tilt(lam)
+            log_mgf += weight * log_z
+            delta += self.sign * weight * mean
+            var += weight * g_var
+            m3 += weight * g_m3
+        out = TiltedStats(lam, delta, var, m3, log_mgf)
         if len(self._cache) > 4096:
             self._cache.clear()
         self._cache[lam] = out
         return out
 
-    # -- rate function -------------------------------------------------------
-
     def delta_star(self) -> float:
         """Supremum of reachable deviations (finite for discrete alphabets)."""
-        if self._groups is None:
-            return math.inf
-        if self.family == "cond_entropy":
-            _, _, v = self._groups[0]
-            return float(v.max() - self.center)
-        out = self.center
-        for weight, _, u in self._groups:
-            out -= weight * float(u.min())
+        out = -self.sign * self.center
+        for weight, _, reach in self._groups:
+            out += weight * reach
         return out
 
-    @property
-    def lambda_cap(self) -> float:
-        return math.inf if self._groups is not None else _LAMBDA_CAP_CONTINUOUS
-
     def rate_value(self, stats: TiltedStats) -> float:
-        """Rate function evaluated at the deviation reached by stats.lam."""
-        if self.family == "cond_entropy":
-            return stats.lam * (self.center + stats.delta) - stats.log_mgf
-        return stats.lam * (stats.delta - self.center) - stats.log_mgf
+        """Rate function evaluated at the deviation reached by stats.lam:
+        lambda sign (center + sign delta) - log-MGF, a Legendre transform."""
+        return stats.lam * self.sign * (self.center + self.sign * stats.delta) - stats.log_mgf
 
     def solve_lambda(self, delta: float) -> TiltedStats:
         """Tilt lambda with delta(lambda) = delta, by monotone bisection."""
@@ -260,13 +207,13 @@ class TiltFamily:
 # One family per (channel, composition): achievability, the tail dispatch
 # and the CLI share it and its lambda cache. Channels hash by identity.
 @lru_cache(maxsize=64)
-def cond_entropy_family(ch, be_const=None) -> TiltFamily:
-    return TiltFamily("cond_entropy", ch, be_const=be_const)
+def cond_entropy_family(ch) -> TiltFamily:
+    return TiltFamily("cond_entropy", ch)
 
 
 @lru_cache(maxsize=64)
-def rel_entropy_family(ch, t: chn.InputType, be_const=None) -> TiltFamily:
-    return TiltFamily("rel_entropy", ch, t, be_const=be_const)
+def rel_entropy_family(ch, t: chn.InputType) -> TiltFamily:
+    return TiltFamily("rel_entropy", ch, t)
 
 
 def rate_function(fam: TiltFamily, delta: float) -> RatePoint:
@@ -274,16 +221,11 @@ def rate_function(fam: TiltFamily, delta: float) -> RatePoint:
     stats = fam.solve_lambda(delta)
     # Evaluate the parametric expression at the requested delta: the
     # residual |delta(lam) - delta| <= 1e-12 enters linearly via lam.
-    if fam.family == "cond_entropy":
-        rate = stats.lam * (fam.center + delta) - stats.log_mgf
-    else:
-        rate = stats.lam * (delta - fam.center) - stats.log_mgf
-    return RatePoint(delta=delta, rate_value=max(rate, 0.0),
-                     slope_lambda=stats.lam, delta_star=fam.delta_star())
+    rate = fam.rate_value(replace(stats, delta=delta))
+    return RatePoint(delta=delta, rate_value=max(rate, 0.0), slope_lambda=stats.lam)
 
 
-def xi_factors(fam: TiltFamily, lam: float, n: int,
-               be_const: float | None = None) -> XiFactors:
+def xi_factors(fam: TiltFamily, lam: float, n: int) -> XiFactors:
     """Sandwich correction factors at tilt lambda and block length n.
 
     The upper factor can exceed 1 for small sqrt(n)*lambda; tail_bounds
@@ -292,9 +234,8 @@ def xi_factors(fam: TiltFamily, lam: float, n: int,
     reported as 0) when 2*C*M / (sqrt(n) sigma^3) >= 1/2.
     """
     stats = fam.tilted_stats(lam)
-    c = fam.be_const if be_const is None else be_const
     sigma = math.sqrt(stats.sigma2)
-    ratio = c * stats.m3 / (math.sqrt(n) * sigma ** 3)
+    ratio = fam.be_const * stats.m3 / (math.sqrt(n) * sigma ** 3)
     big_a = math.sqrt(n) * lam * sigma
     rho_up = q_inv(min(ratio, 0.5)) if ratio < 0.5 else 0.0
     upper = 2.0 * ratio + (scaled_gauss_tail(big_a)
@@ -334,18 +275,16 @@ def tail_bounds(fam: TiltFamily, delta: float, n: int) -> TailEstimate:
                "log_chernoff": log_chernoff})
 
 
-def tail_clt(fam: TiltFamily, delta: float, n: int,
-             be_const: float | None = None) -> TailEstimate:
+def tail_clt(fam: TiltFamily, delta: float, n: int) -> TailEstimate:
     """Central-limit interval Q(delta sqrt(n)/sigma) +- C M/(sqrt(n) sigma^3).
 
     Sharp only for deviations up to about sigma*sqrt(ln n / n); the
     in_regime flag records whether delta is inside that window, the
     interval itself is evaluated (and valid) for any delta.
     """
-    c = fam.be_const if be_const is None else be_const
     sigma = math.sqrt(fam.sigma2)
     mid = q_func(delta * math.sqrt(n) / sigma)
-    halfwidth = c * fam.m3 / (math.sqrt(n) * sigma ** 3)
+    halfwidth = fam.be_const * fam.m3 / (math.sqrt(n) * sigma ** 3)
     in_regime = delta <= sigma * math.sqrt(math.log(n) / n)
     return TailEstimate(
         kind="sandwich",

@@ -1,9 +1,10 @@
 """Exact and Monte-Carlo evaluation of the deviation probabilities.
 
-The single-letter statistics of a discrete channel take finitely many
-values; when those values share a common lattice step the n-fold sum
-lives on an integer grid and its tail can be computed exactly by a
-log-domain convolution (binomial weights for a two-point row). That
+The single-letter statistics of a discrete channel (channel.statistic,
+one row per input in use) take finitely many values; when those values
+share a common lattice step the n-fold sum lives on an integer grid and
+its tail can be computed exactly by a log-domain convolution (binomial
+weights for a two-point row). That
 distribution depends on neither the deviation nor the rate, so it is
 built once per (channel, composition, n, state budget), kept in a small
 memo with the statistic's mean, and every deviation is read off the
@@ -262,29 +263,14 @@ def mc_tail_rows(rows, threshold: float, samples: int, seed: int,
 # deviation probabilities of the two families
 # ---------------------------------------------------------------------------
 
-def cond_entropy_spec(ch: chn.DiscreteChannel) -> LatticeSpec:
-    """Single-letter spec of -ln p(X|Y) under uniform binary input."""
-    v, p = chn.posterior_atoms(ch)
-    return LatticeSpec.from_atoms(v, p)
-
-
-def rel_entropy_rows(ch: chn.DiscreteChannel, t: chn.InputType, n: int):
-    """Per-input rows (spec, count) of ln(p(Y|x)/q_t(Y)) for an n-type t."""
-    q = chn.mixture_output(ch, t)
-    counts = t.counts(n)
-    rows = []
-    for x in t.support:
-        row = ch.matrix[x]
-        mask = row > 0
-        u = np.log(row[mask]) - np.log(q[mask])
-        rows.append((LatticeSpec.from_atoms(u, row[mask]), counts[x]))
-    return rows
-
-
-def _statistic_rows(ch, t, n):
-    """Rows (spec, count) of the conditional-entropy sum (t None) or of the
-    relative-entropy sum for the n-type t."""
-    return [(cond_entropy_spec(ch), n)] if t is None else rel_entropy_rows(ch, t, n)
+def _statistic_rows(ch: chn.DiscreteChannel, t, n: int):
+    """Rows (spec, count) of the conditional-entropy sum (t None, n copies of
+    one row) or of the relative-entropy sum (n t(x) copies of input x's row)
+    for the n-type t."""
+    groups = chn.statistic(ch, t)
+    counts = [n] if t is None else [c for c in t.counts(n) if c > 0]
+    return [(LatticeSpec.from_atoms(g.values, g.probs), c)
+            for g, c in zip(groups, counts)]
 
 
 def _centre(ch, t) -> float:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -371,7 +372,7 @@ class TestCentralLimitTailPath:
         n = 1000
         rate = 0.5 * chn.mutual_info(ch, UNIF)
         assert all(spec.lattice_step is None
-                   for spec, _ in tail.rel_entropy_rows(ch, UNIF, n))
+                   for spec, _ in tail._statistic_rows(ch, UNIF, n))
         with pytest.raises(tail.LatticeInfeasibleError):
             tail.lattice_tail(ch, UNIF, 0.05, n)
         res = ach.bound_at_rate("thm4p2", ch, n, rate, t=UNIF)
@@ -428,7 +429,6 @@ class TestThm4:
 
     def test_alternative_composition_computable(self):
         # a non-capacity-achieving composition can win at short lengths
-        from fractions import Fraction
         ch = chn.zchannel(0.9)
         t_cap = chn.InputType((Fraction(1, 2), Fraction(1, 2)))
         t_alt = chn.InputType((Fraction(3, 4), Fraction(1, 4)))
@@ -436,6 +436,48 @@ class TestThm4:
             res = ach.thm4_rate_and_error(ch, t, 100, delta=0.02)
             assert 0 < res.error_ub <= 1.0
             assert math.isfinite(res.rate_nats)
+
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_unused_input_changes_no_row(self, data):
+        # a third input that t leaves unused, reaching an output no other
+        # input reaches, must not move any fixed-composition row
+        k = data.draw(st.integers(2, 3), label="outputs")
+        weights = st.floats(0.05, 1.0)
+        rows = [data.draw(st.lists(weights, min_size=k, max_size=k), label="row")
+                for _ in range(2)]
+        extra = data.draw(st.lists(weights, min_size=k + 1, max_size=k + 1), label="extra")
+        rows = [np.array(r) / sum(r) for r in rows]
+        plain = chn.DiscreteChannel(np.array(rows))
+        padded = chn.DiscreteChannel(np.array(
+            [np.append(r, 0.0) for r in rows] + [np.array(extra) / sum(extra)]))
+        a = data.draw(st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]))
+        t2, t3 = chn.InputType((a, 1 - a)), chn.InputType((a, 1 - a, Fraction(0)))
+        n = 4 * data.draw(st.integers(10, 50), label="n/4")
+        mi = chn.mutual_info(plain, t2)
+        assume(mi > 0.01)
+        rate = data.draw(st.floats(0.2, 0.8), label="frac") * mi
+        budget = tail.TailBudget(mc_samples=1000)
+
+        def row(ch, t, name, at_eps):
+            try:
+                res = (ach.max_rate_at_eps(ch, n, 1e-3, name, t=t) if at_eps
+                       else ach.bound_at_rate(name, ch, n, rate, t=t, budget=budget))
+            except (ach.InfeasibleRateError, chn.DegenerateChannelError) as exc:
+                return str(exc)
+            return res.theorem, res.tail_kind, [
+                x for x in (res.error_ub, res.rate_nats, res.delta, res.lambda_or_c,
+                            *res.extras.values()) if x is not None]
+
+        for name, at_eps in [("thm3", False), ("thm4p1", False), ("thm4p2", False),
+                             ("ee", False), ("thm4p1", True), ("thm4p2", True),
+                             ("ee", True)]:
+            expect, got = row(plain, t2, name, at_eps), row(padded, t3, name, at_eps)
+            if isinstance(expect, str):
+                assert got == expect
+            else:
+                assert got[:2] == expect[:2]
+                assert got[2] == pytest.approx(expect[2], rel=1e-12, abs=0.0)
 
 
 class TestErrorExponent:

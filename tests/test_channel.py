@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fbl import channel as chn
+from fbl.numkit import gauss_hermite
 
 LN2 = math.log(2.0)
 
@@ -102,9 +103,13 @@ class TestLinearCapacity:
         assert cap_bits == pytest.approx(0.4847, abs=2e-3)
 
     def test_biawgn_quadrature_convergence(self):
-        h1 = chn.cond_entropy(chn.BiAwgn(1.0), order=199)
-        h2 = chn.cond_entropy(chn.BiAwgn(1.0), order=398)
-        assert abs(h1 - h2) < 1e-9
+        # the library's rule against one of twice the order: -ln p(0|y) is
+        # softplus(-2 a y) with y ~ N(a, 1)
+        rule = gauss_hermite(398)
+        a = 1.0
+        y = rule.gaussian_nodes(mean=a)
+        h2 = float(rule.gaussian_weights @ np.logaddexp(0.0, -2.0 * a * y))
+        assert abs(chn.cond_entropy(chn.BiAwgn(a ** 2)) - h2) < 1e-9
 
 
 class TestMixtureOutput:

@@ -102,6 +102,16 @@ class TestBoundCommand:
         expect = ach.bsc_closed_form(0.11, 100, 2 ** 50, dt_variant=True)
         assert float(rows[0]["error_ub"]) == pytest.approx(expect, rel=1e-10)
 
+    def test_input_outside_the_type_with_its_own_output(self, tmp_path):
+        # input 2 is unused by the type and alone reaches output 2
+        path = tmp_path / "ch.txt"
+        path.write_text("discrete 3 3\n.9 .1 0\n.1 .9 0\n0 .5 .5\n")
+        r = run_cli(["bound", "--channel", f"file:{path}", "--type", "1/2,1/2,0",
+                     "--n", "200", "--theorem", "thm4p1", "--rate-nats", "0.1"])
+        assert r.returncode == 0, r.stderr
+        _, rows = parse_csv(r.stdout)
+        assert float(rows[0]["error_ub"]) == pytest.approx(1.44522808061e-4, rel=1e-11)
+
 
 class TestNepCommand:
     def test_exact_inside_sandwich(self):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 from scipy.stats import binom
 
 from fbl import channel as chn
@@ -265,8 +266,6 @@ class TestTailClt:
         assert nep.BERRY_ESSEEN_INID == 0.56
         assert bsc_family().be_const == nep.BERRY_ESSEEN_IID
         assert z_rel_family().be_const == nep.BERRY_ESSEEN_INID
-        fam = nep.cond_entropy_family(chn.bsc(0.2), be_const=0.3)
-        assert fam.be_const == 0.3
 
 
 class TestBiAwgnFamily:
@@ -295,3 +294,54 @@ class TestBiAwgnFamily:
         fr = nep.rel_entropy_family(ch, UNIF)
         assert fr.sigma2 == pytest.approx(fc.sigma2, rel=1e-9)
         assert fr.center == pytest.approx(math.log(2) - fc.center, rel=1e-9)
+
+    @pytest.mark.parametrize("family", ["cond_entropy", "rel_entropy"])
+    @pytest.mark.parametrize("lam", [0.25, 1.0, 3.0])
+    def test_tilted_stats_match_adaptive_quadrature(self, family, lam):
+        a = 1.0
+        if family == "cond_entropy":
+            fam = nep.cond_entropy_family(chn.BiAwgn(a * a))
+            # -ln p(0|y) for y ~ N(a, 1), tilted upward
+            groups = [(1.0, a, lambda y: float(np.logaddexp(0.0, -2.0 * a * y)))]
+            sign = 1.0
+        else:
+            fam = nep.rel_entropy_family(chn.BiAwgn(a * a), UNIF)
+
+            def info(s):
+                # ln p(y|s) - ln(p(y|a)/2 + p(y|-a)/2) for y ~ N(s, 1)
+                return lambda y: float(-0.5 * (y - s) ** 2 - np.logaddexp(
+                    math.log(0.5) - 0.5 * (y - a) ** 2, math.log(0.5) - 0.5 * (y + a) ** 2))
+            groups = [(0.5, a, info(a)), (0.5, -a, info(-a))]
+            sign = -1.0
+        center = sum(w * quad_tilted(c, v, 0.0, sign)[1] for w, c, v in groups)
+        parts = [(w, quad_tilted(c, v, lam, sign)) for w, c, v in groups]
+        st = fam.tilted_stats(lam)
+        log_mgf = sum(w * p[0] for w, p in parts)
+        delta = sign * (sum(w * p[1] for w, p in parts) - center)
+        assert st.log_mgf == pytest.approx(log_mgf, rel=0.0, abs=1e-12)
+        assert st.delta == pytest.approx(delta, rel=1e-12)
+        assert st.sigma2 == pytest.approx(sum(w * p[2] for w, p in parts), rel=1e-12)
+        assert st.m3 == pytest.approx(sum(w * p[3] for w, p in parts), rel=1e-7)
+
+
+def quad_tilted(centre, value_fn, lam, sign):
+    """ln Z, mean, variance and E|v - mean|^3 of v(Y) for Y ~ N(centre, 1)
+    tilted by exp(sign lam v(y)), by adaptive quadrature; the third
+    moment's kink, where v(y) equals the mean, is a breakpoint."""
+    shift = centre - 2.0 * centre * lam   # where the tilt moves the mode
+    lo, hi = min(centre, shift) - 14.0, max(centre, shift) + 14.0
+
+    def dens(y):
+        return math.exp(-0.5 * (y - centre) ** 2 + sign * lam * value_fn(y)
+                        ) / math.sqrt(2.0 * math.pi)
+
+    def integral(f, points=None):
+        return quad(lambda y: f(y) * dens(y), lo, hi, points=points,
+                    epsabs=0.0, epsrel=1e-13, limit=500)[0]
+
+    z = integral(lambda y: 1.0)
+    mean = integral(value_fn) / z
+    var = integral(lambda y: (value_fn(y) - mean) ** 2) / z
+    kink = brentq(lambda y: value_fn(y) - mean, lo, hi, xtol=1e-14)
+    m3 = integral(lambda y: abs(value_fn(y) - mean) ** 3, points=[kink]) / z
+    return math.log(z), mean, var, m3

@@ -14,6 +14,12 @@ from fbl import nep, tail
 UNIF = chn.InputType.uniform(2)
 
 
+def cond_spec(ch):
+    """Single-letter spec of -ln p(X|Y) under uniform binary input."""
+    [(spec, _)] = tail._statistic_rows(ch, None, 1)
+    return spec
+
+
 def enumerate_tail(values, probs, n, threshold, side):
     """Brute-force oracle: outer-product enumeration of all atom tuples."""
     sums = np.array([0.0])
@@ -49,7 +55,7 @@ class TestExactTail:
     def test_bsc_four_transmissions(self):
         # weight >= 3 out of 4 at p = 0.11, via full 16-outcome enumeration
         p = 0.11
-        spec = tail.cond_entropy_spec(chn.bsc(p))
+        spec = cond_spec(chn.bsc(p))
         h = chn.cond_entropy(chn.bsc(p))
         ratio = math.log((1 - p) / p)
         delta = ratio * (2.5 / 4 - p)  # tail = {weight > 2.5}
@@ -106,7 +112,7 @@ class TestExactTail:
 
     def test_log_value_survives_underflow(self):
         p = 0.11
-        spec = tail.cond_entropy_spec(chn.bsc(p))
+        spec = cond_spec(chn.bsc(p))
         h = chn.cond_entropy(chn.bsc(p))
         est = tail.exact_tail(spec, 3000, 3000 * (h + 1.2))
         assert est.value == 0.0 or est.value < 1e-300
@@ -121,13 +127,13 @@ class TestMcTail:
         assert est.lower > 0.99
 
     def test_seed_replay_bit_identical(self):
-        ls = tail.cond_entropy_spec(chn.bsc(0.11))
+        ls = cond_spec(chn.bsc(0.11))
         a = tail.mc_tail(ls, 50, 50 * 0.40, samples=4000, seed=123)
         b = tail.mc_tail(ls, 50, 50 * 0.40, samples=4000, seed=123)
         assert a.value == b.value and a.lower == b.lower
 
     def test_sharding_invariance(self):
-        ls = tail.cond_entropy_spec(chn.bsc(0.11))
+        ls = cond_spec(chn.bsc(0.11))
         a = tail.mc_tail(ls, 50, 50 * 0.40, samples=5000, seed=9, shard=1000)
         b = tail.mc_tail(ls, 50, 50 * 0.40, samples=5000, seed=9, shard=1000)
         assert a.value == b.value
@@ -136,7 +142,7 @@ class TestMcTail:
         # interval with nominal 99% coverage: verify exactly via the
         # binomial law of the hit count, then spot-check 100 fixed seeds
         ch = chn.bsc(0.11)
-        spec = tail.cond_entropy_spec(ch)
+        spec = cond_spec(ch)
         h = chn.cond_entropy(ch)
         n, delta, samples = 100, 0.05, 20000
         thr = n * (h + delta)
@@ -310,11 +316,11 @@ class TestLatticeMemo:
             if kind == "z":
                 got = tail.ptdelta(ch, UNIF, delta, n)
                 fresh = tail.exact_tail_rows(
-                    tail.rel_entropy_rows(ch, UNIF, n),
+                    tail._statistic_rows(ch, UNIF, n),
                     n * (chn.mutual_info(ch, UNIF) - delta), side="le")
             else:
                 got = tail.pdelta(ch, delta, n)
-                fresh = tail.exact_tail(tail.cond_entropy_spec(ch), n,
+                fresh = tail.exact_tail(cond_spec(ch), n,
                                         n * (chn.cond_entropy(ch) + delta))
             assert got.kind == fresh.kind == "exact"
             assert got.value == fresh.value

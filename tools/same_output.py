@@ -1,0 +1,84 @@
+"""Check that the working tree prints what a parent revision prints.
+
+    python3 tools/same_output.py PARENT_REV
+
+Unpacks PARENT_REV with `git archive` into a temporary directory and
+runs every command below as `python3 -m fbl.cli ...` against both
+source trees, with PYTHONDONTWRITEBYTECODE=1 so neither tree gains
+bytecode files. Prints one line per command and exits 1 when stdout,
+stderr or the exit code of any command differs.
+
+The commands are the benchmark's four workloads at seeds 1-3 (read
+from perfbench/workloads.py), `nep` in both families on a BSC, a Z
+channel and a BiAWGN, and the fixed-composition and central-limit rows
+on a BiAWGN and a Z channel, through both `error-vs-rate` and `compare`.
+"""
+
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+import workloads  # noqa: E402
+
+BOUNDS = "thm2p1,thm2p2,thm4p1,thm4p2,thm3,ee"
+
+
+def commands():
+    for name in workloads.WORKLOADS:
+        for seed in (1, 2, 3):
+            yield list(workloads.make(name, seed).argv)
+    for spec in ("bsc:0.11", "z:0.5", "biawgn:0"):
+        yield ["nep", "--channel", spec, "--n", "300", "--delta", "0.02:0.2:0.02"]
+        yield ["nep", "--channel", spec, "--family", "rel", "--type", "0.5,0.5",
+               "--n", "300", "--delta", "0.02:0.2:0.02"]
+    for spec in ("biawgn:0", "z:0.5"):
+        yield ["error-vs-rate", "--channel", spec, "--type", "0.5,0.5", "--n", "500",
+               "--rates", "0.1:0.3:0.05", "--bounds", BOUNDS]
+        yield ["compare", "--channel", spec, "--type", "0.5,0.5", "--eps", "1e-3",
+               "--n", "200:600:200", "--bounds", BOUNDS]
+
+
+def start(src: Path, argv, cwd):
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.Popen([sys.executable, "-m", "fbl.cli", *argv], cwd=cwd, env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+def finish(proc):
+    out, err = proc.communicate()
+    return out, err, proc.returncode
+
+
+def main(argv) -> int:
+    if len(argv) != 1:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        parent = Path(tmp) / "parent"
+        parent.mkdir()
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", argv[0]],
+                                 check=True, capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(parent)], input=archive, check=True)
+        # the two sides run side by side, each from its own empty directory
+        cwds = [Path(tmp) / "old", Path(tmp) / "new"]
+        for cwd in cwds:
+            cwd.mkdir()
+        differ = 0
+        for cmd in commands():
+            procs = [start(parent / "src", cmd, cwds[0]), start(ROOT / "src", cmd, cwds[1])]
+            old, new = (finish(p) for p in procs)
+            fields = [name for name, a, b in zip(("stdout", "stderr", "exit"), old, new)
+                      if a != b]
+            differ += bool(fields)
+            print(f"{'DIFF ' + ','.join(fields) if fields else 'same'}"
+                  f" (exit {new[2]}): {' '.join(cmd)}", flush=True)
+        print(f"{differ} of the commands differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
