@@ -228,18 +228,24 @@ def _check_support(ch: ChannelModel, t: InputType):
         raise ValueError(f"type has {len(t.probs)} symbols, channel has {size}")
 
 
-def posterior_atoms(ch: DiscreteChannel):
-    """Atoms of -ln p(X|Y) under uniform input: (values, probs) over the joint support."""
+def _posterior_laws(ch: DiscreteChannel):
+    """Law of -ln p(x|Y) given X = x under uniform input, for x = 0 and 1:
+    one (values, probs) pair per input, over the support of p(.|x)."""
     _require_binary(ch)
     m = ch.matrix
     denom = m[0] + m[1]
-    values, probs = [], []
+    laws = []
     for x in range(2):
-        for y in range(ch.output_size):
-            if m[x, y] > 0:
-                values.append(math.log(denom[y]) - math.log(m[x, y]))
-                probs.append(0.5 * m[x, y])
-    return np.array(values), np.array(probs)
+        ys = [y for y in range(ch.output_size) if m[x, y] > 0]
+        laws.append((np.array([math.log(denom[y]) - math.log(m[x, y]) for y in ys]),
+                     m[x, ys]))
+    return laws
+
+
+def posterior_atoms(ch: DiscreteChannel):
+    """Atoms of -ln p(X|Y) under uniform input: (values, probs) over the joint support."""
+    (v0, p0), (v1, p1) = _posterior_laws(ch)
+    return np.concatenate([v0, v1]), 0.5 * np.concatenate([p0, p1])
 
 
 def mixture_output(ch: ChannelModel, t: InputType):
@@ -349,6 +355,19 @@ def mutual_info(ch: ChannelModel, t: InputType) -> float:
     return _moments(statistic(ch, t))[0]
 
 
+def statistic_moments(groups, t: InputType | None = None):
+    """Mean, variance and third moment of statistic(ch, t)'s groups.
+
+    Raises DegenerateChannelError when the variance vanishes.
+    """
+    mean, var, m3 = _moments(groups)
+    if not var > 1e-14:
+        raise DegenerateChannelError(
+            "conditional-entropy statistic has zero variance" if t is None
+            else "divergence statistic has zero variance for this composition")
+    return mean, var, m3
+
+
 def is_symmetric(ch: ChannelModel) -> bool:
     """True when -ln p(0|Y)|X=0 and -ln p(1|Y)|X=1 are equidistributed.
 
@@ -357,18 +376,15 @@ def is_symmetric(ch: ChannelModel) -> bool:
     """
     if isinstance(ch, BiAwgn):
         return True
-    values, probs = posterior_atoms(ch)
-    split = np.count_nonzero(ch.matrix[0])  # the atoms of input 0 come first
 
-    def law(atoms):
+    def law(values, probs):
         pairs = {}
-        for v, p in atoms:
+        for v, p in zip(values, probs):
             key = round(float(v), 12)
-            pairs[key] = pairs.get(key, 0.0) + 2.0 * p
+            pairs[key] = pairs.get(key, 0.0) + p
         return pairs
 
-    atoms = list(zip(values, probs))
-    l0, l1 = law(atoms[:split]), law(atoms[split:])
+    l0, l1 = (law(*vp) for vp in _posterior_laws(ch))
     if set(l0) != set(l1):
         return False
     return all(abs(l0[k] - l1[k]) < 1e-10 for k in l0)
@@ -386,18 +402,13 @@ def moment_summary(ch: ChannelModel, t: InputType | None = None) -> InfoSummary:
     binary = isinstance(ch, BiAwgn) or ch.input_size == 2
     h = cl = s2h = m3h = None
     if binary:
-        h, s2h, m3h = _moments(statistic(ch))
+        cond = statistic(ch)
+        h, s2h, m3h = _moments(cond) if t is not None else statistic_moments(cond)
         cl = math.log(2.0) - h
 
     mi = s2d = m3d = None
     if t is not None:
-        mi, s2d, m3d = _moments(statistic(ch, t))
-        if s2d <= 1e-14:
-            raise DegenerateChannelError(
-                "divergence statistic has zero variance for this composition")
-    elif binary and s2h <= 1e-14:
-        raise DegenerateChannelError(
-            "conditional-entropy statistic has zero variance")
+        mi, s2d, m3d = statistic_moments(statistic(ch, t), t)
 
     return InfoSummary(cond_entropy_nats=h, linear_capacity_nats=cl,
                        sigma2_h=s2h, m3_h=m3h, mutual_info_nats=mi,

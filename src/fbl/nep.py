@@ -22,7 +22,7 @@ so block lengths in the thousands stay representable.
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy.special import logsumexp
@@ -73,7 +73,7 @@ class XiFactors:
     degenerate_lower: bool
 
 
-def _tilted_discrete(logp, values, lam, sign):
+def _tilted_discrete(logp, values, sign, lam):
     """Tilted log-normalizer and central moments for one atom group.
 
     The tilt multiplies the base law by exp(sign * lam * value).
@@ -83,33 +83,30 @@ def _tilted_discrete(logp, values, lam, sign):
     return (log_z, *central_moments(values, np.exp(logw - log_z)))
 
 
-def _biawgn_tilted(center, lam_shift, log_tilt, value_fn):
+def _biawgn_tilted(center, value_fn, sign, lam):
     """Tilted moments for a unit-variance Gaussian base at `center`.
 
-    log_tilt(y) is the log of the tilting factor; its dominant linear
-    behaviour moves the mass toward center + lam_shift, so the composite
-    rule covers both modes.
+    The tilt exp(sign lam v(y)) grows like exp(-2 center lam y) for either
+    sign, which moves the mass toward center - 2 center lam, so the
+    composite rule covers both modes.
     """
-    lo = min(center, center + lam_shift) - 12.0
-    hi = max(center, center + lam_shift) + 12.0
+    shifted = center - 2.0 * center * lam
+    lo = min(center, shifted) - 12.0
+    hi = max(center, shifted) + 12.0
     y, w = composite_gauss_legendre(lo, hi, panel_width=0.5, points=16)
     log_base = -0.5 * (y - center) ** 2 - 0.5 * math.log(2.0 * math.pi)
-    logw = log_base + np.log(w) + log_tilt(y)
+    v = value_fn(y)
+    logw = log_base + np.log(w) + sign * lam * v
     log_z = float(logsumexp(logw))
-    return (log_z, *central_moments(value_fn(y), np.exp(logw - log_z)))
+    return (log_z, *central_moments(v, np.exp(logw - log_z)))
 
 
 def _group_tilt(g: chn.StatGroup, sign: float):
     """(tilted moments as a function of lambda, sup of sign * value) of one group."""
     if g.value_fn is None:
-        logp = np.log(g.probs)
-        return (lambda lam: _tilted_discrete(logp, g.values, lam, sign),
+        return (partial(_tilted_discrete, np.log(g.probs), g.values, sign),
                 float(np.max(sign * g.values)))
-    # the tilt exp(sign lam v(y)) grows like exp(-2 centre lam y) for either
-    # sign, which moves the Gaussian's mass by -2 centre lam
-    return (lambda lam: _biawgn_tilted(g.centre, -2.0 * g.centre * lam,
-                                       lambda y: sign * lam * g.value_fn(y), g.value_fn),
-            math.inf)
+    return partial(_biawgn_tilted, g.centre, g.value_fn, sign), math.inf
 
 
 class TiltFamily:
@@ -135,15 +132,12 @@ class TiltFamily:
             raise ValueError("rel_entropy family needs an input composition")
         self.sign = -1.0 if rel else 1.0
         self.be_const = BERRY_ESSEEN_INID if rel else BERRY_ESSEEN_IID
-        s = chn.moment_summary(ch, t if rel else None)
+        stat_t = t if rel else None
+        groups = chn.statistic(ch, stat_t)
         # center is the mean of the statistic
-        self.center, self.sigma2, self.m3 = (
-            (s.mutual_info_nats, s.sigma2_d, s.m3_d) if rel
-            else (s.cond_entropy_nats, s.sigma2_h, s.m3_h))
-        groups = chn.statistic(ch, t if rel else None)
-        self._groups = [(g.weight, *_group_tilt(g, self.sign)) for g in groups]
-        if not self.sigma2 > 0:
-            raise chn.DegenerateChannelError("zero-variance family")
+        self.center, self.sigma2, self.m3 = chn.statistic_moments(groups, stat_t)
+        self._groups = [(g.weight, self.sign * g.weight, *_group_tilt(g, self.sign))
+                        for g in groups]
         self.lambda_cap = (math.inf if self.delta_star() < math.inf
                            else _LAMBDA_CAP_CONTINUOUS)
 
@@ -159,10 +153,10 @@ class TiltFamily:
             return hit
         log_mgf = var = m3 = 0.0
         delta = -self.sign * self.center
-        for weight, tilt, _ in self._groups:
+        for weight, signed_weight, tilt, _ in self._groups:
             log_z, mean, g_var, g_m3 = tilt(lam)
             log_mgf += weight * log_z
-            delta += self.sign * weight * mean
+            delta += signed_weight * mean
             var += weight * g_var
             m3 += weight * g_m3
         out = TiltedStats(lam, delta, var, m3, log_mgf)
@@ -174,7 +168,7 @@ class TiltFamily:
     def delta_star(self) -> float:
         """Supremum of reachable deviations (finite for discrete alphabets)."""
         out = -self.sign * self.center
-        for weight, _, reach in self._groups:
+        for weight, _, _, reach in self._groups:
             out += weight * reach
         return out
 

@@ -213,6 +213,12 @@ class TestMomentSummary:
         assert chn.is_symmetric(chn.bec(0.5))
         assert chn.is_symmetric(chn.BiAwgn(2.0))
         assert not chn.is_symmetric(chn.zchannel(0.5))
+        # outputs 0 and 3 are reached by one input each; the two laws match
+        assert chn.is_symmetric(chn.DiscreteChannel(np.array(
+            [[0.7, 0.2, 0.1, 0.0], [0.0, 0.1, 0.2, 0.7]])))
+        # input 0 has two atoms at ln 1.5; input 1 has atoms at ln 3 and 0
+        assert not chn.is_symmetric(chn.DiscreteChannel(np.array(
+            [[0.5, 0.5, 0.0], [0.25, 0.25, 0.5]])))
 
 
 class TestTypeClassSize:
