@@ -6,9 +6,11 @@ proofs differ only in what an `Ensemble` record holds, so each bound is
 written once over it, one record per (channel, composition, n).
 `THEOREMS`, the theorem table, maps every bound name (those, the BSC,
 BEC and Z closed forms and the error-exponent baseline `ee`) to its
-ensemble, error-at-rate and rate-at-eps. Where the conditional-entropy
-statistic has a lattice, thm1's minimum over the deviation is exact and
-equals the BSC and BEC closed forms in any layout.
+ensemble, error-at-rate and rate-at-eps, and `bound_at_rate` and
+`max_rate_at_eps` are the one way into each row. Where the
+conditional-entropy statistic has a lattice, thm1's minimum over the
+deviation is exact and equals the BSC and BEC closed forms in any
+layout; its deviation is signed, so the row names the decoder it covers.
 
 Rates are nats per channel use internally; the CLI converts to bits.
 Every reported error bound is clamped to [0, 1]; the pre-clamp tail and
@@ -17,6 +19,7 @@ union components are kept on the result for auditing.
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
@@ -116,7 +119,7 @@ class Ensemble:
 
     def tail(self, delta, budget=None, exact_only=False):
         if exact_only:
-            return tail.lattice_tail(self.ch, self.t, delta, self.n, budget)
+            return tail.lattice_tail(self.ch, self.t, delta, self.n)
         if self.t is None:
             return tail.pdelta(self.ch, delta, self.n, budget)
         return tail.ptdelta(self.ch, self.t, delta, self.n, budget)
@@ -143,9 +146,10 @@ def _tail_union(ens: Ensemble, rate, delta, budget=None,
                 exact_only=False) -> BoundResult:
     """f0 P(deviation > delta) + exp(-n (C - delta - R) + defect).
 
-    delta may be negative (rates above capacity); the public entry points
-    reject that, the central-limit refinement needs it, and asks for the
-    exact lattice tail only (exact_only).
+    delta may be negative: a threshold below the statistic's mean (thm1's
+    lattice optimum can sit there) or a rate above capacity (the
+    central-limit refinement, which asks for the exact lattice tail only,
+    exact_only). The BiAWGN sandwich rejects delta <= 0 (nep.TiltRangeError).
     """
     n = ens.n
     pd = ens.tail(delta, budget, exact_only)
@@ -160,8 +164,6 @@ def _tail_union(ens: Ensemble, rate, delta, budget=None,
 def thm1_bound(ch, cp: CodeParams, delta: float,
                budget: tail.TailBudget | None = None) -> BoundResult:
     """Tail + union bound for the parity-check ensemble at deviation delta."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
     return _tail_union(_ensemble(ch, None, cp.n), cp.rate, delta, budget)
 
 
@@ -170,8 +172,6 @@ def thm3_bound(ch, cp: CodeParams, delta: float,
     """Tail + union bound for the fixed-composition ensemble at deviation delta."""
     if cp.t is None:
         raise ValueError("fixed-composition bound needs CodeParams.t")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
     return _tail_union(_ensemble(ch, cp.t, cp.n), cp.rate, delta, budget)
 
 
@@ -202,12 +202,10 @@ def thm1_optimized(ch, cp: CodeParams,
                    budget: tail.TailBudget | None = None) -> BoundResult:
     """thm1_bound minimized over delta: read off the memoised distribution of
     S = -ln p(X^n|Y^n) where S has a lattice, else searched (grid, golden section)."""
-    budget = budget or tail.TailBudget()
     ens = _ensemble(ch, None, cp.n)
     if isinstance(ch, chn.DiscreteChannel):
         try:
-            return _lattice_min_form(ens, cp, tail._lattice_distribution(
-                ch, None, cp.n, budget.max_lattice_states))
+            return _lattice_min_form(ens, cp, tail._lattice_distribution(ch, None, cp.n))
         except tail.LatticeInfeasibleError:
             pass
     return _optimized(ens, thm1_bound, cp, budget)
@@ -233,7 +231,8 @@ def _lattice_min_form(ens: Ensemble, cp: CodeParams, dist) -> BoundResult:
 
     The breakpoint is the last atom whose union weight is below f0 (ties,
     to 1e-9 relative, go to the tail); delta puts n (H + delta) midway to
-    the next atom, at least 1e-12.
+    the next atom, so thm1_bound at the row's delta has the row's tail
+    term. It is negative when that midpoint lies below n H.
     """
     offset, step, log_pmf, centre = dist
     live = log_pmf > -np.inf
@@ -246,7 +245,7 @@ def _lattice_min_form(ens: Ensemble, cp: CodeParams, dist) -> BoundResult:
     edges = np.concatenate(([s[0] - step], s, [s[-1] + step]))
     return BoundResult(theorem="thm1", n=cp.n, rate_nats=cp.rate,
                        error_ub=min(1.0, tail_term + union_term),
-                       delta=max(0.5 * (edges[j] + edges[j + 1]) / cp.n - centre, 1e-12),
+                       delta=0.5 * (edges[j] + edges[j + 1]) / cp.n - centre,
                        tail_kind="exact", components=(tail_term, union_term))
 
 
@@ -256,40 +255,34 @@ def thm3_optimized(ch, cp: CodeParams,
     return _optimized(_ensemble(ch, cp.t, cp.n), thm3_bound, cp, budget)
 
 
-def _log_m_value(M, dt_variant: bool) -> float:
-    """ln of the codebook-size constant, optionally in the (M-1)/2 variant.
-
-    Accepts int, float or Fraction so 2^k stays exact for any k.
-    """
-    from fractions import Fraction
-
-    def ln(x):
-        if isinstance(x, Fraction):
-            a, b = x.numerator, x.denominator
-            return math.log(a) - math.log(b)
-        return math.log(x)
-
-    if dt_variant:
-        if M < 2:
-            raise ValueError("variant needs M >= 2")
-        if isinstance(M, int):
-            return math.log(M - 1) - LN2
-        return ln(M - 1) - LN2
-    return ln(M)
+def _ln(x) -> float:
+    """ln of an int, float or Fraction; exact operands keep 2^k exact for any k."""
+    if isinstance(x, Fraction):
+        return math.log(x.numerator) - math.log(x.denominator)
+    return math.log(x)
 
 
-def _resolve_log_m(M, log_m, dt_variant: bool) -> float:
-    """ln of the codebook constant from either an exact M or ln M."""
+def _log_m_minus_1(M, log_m) -> float:
+    """ln(M - 1) from exactly one of M (int, float or Fraction) or ln M; -inf for M <= 1."""
     if (M is None) == (log_m is None):
         raise ValueError("give exactly one of M or log_m")
     if M is not None:
-        return _log_m_value(M, dt_variant)
-    if dt_variant:
-        # ln((M-1)/2) from ln M, stable for any magnitude
-        if log_m < 36.0:
-            return math.log(math.expm1(log_m)) - LN2
-        return log_m - LN2
-    return log_m
+        return _ln(M - 1) if M > 1 else -math.inf
+    if log_m >= 36.0:
+        return log_m  # M - 1 rounds to M
+    return math.log(math.expm1(log_m)) if log_m > 0 else -math.inf
+
+
+def _resolve_log_m(M, log_m, dt_variant: bool) -> float:
+    """ln of the codebook constant M, or (M-1)/2 in the variant, from an exact M or ln M."""
+    if not dt_variant:
+        if (M is None) == (log_m is None):
+            raise ValueError("give exactly one of M or log_m")
+        return log_m if M is None else _ln(M)
+    log_m1 = _log_m_minus_1(M, log_m)
+    if (M is not None and M < 2) or log_m1 == -math.inf:
+        raise ValueError("variant needs M >= 2")
+    return log_m1 - LN2
 
 
 def _bsc_min_form(p, n, log_m) -> float:
@@ -345,14 +338,7 @@ def zchannel_closed_form(p: float, t: chn.InputType, n: int, M=None,
     if not 0 < p < 1:
         raise ValueError("Z-channel parameter must be in (0,1)")
     m = t.counts(n)[0]
-    if (M is None) == (log_m is None):
-        raise ValueError("give exactly one of M or log_m")
-    if M is not None:
-        log_m1 = math.log(M - 1) if M > 1 else -math.inf
-    elif log_m < 36.0:
-        log_m1 = math.log(math.expm1(log_m)) if log_m > 0 else -math.inf
-    else:
-        log_m1 = log_m
+    log_m1 = _log_m_minus_1(M, log_m)
     log_cnm = log_binom(n, m)
     terms = []
     for i in range(m + 1):
@@ -422,31 +408,6 @@ def _central_limit(ens: Ensemble, c) -> BoundResult:
         lambda_or_c=c, tail_kind="clt", components=(tail_term, corr))
 
 
-def _rate_and_error(ens: Ensemble, delta, c) -> BoundResult:
-    if (delta is None) == (c is None):
-        raise ValueError("give exactly one of delta or c")
-    return _tilted(ens, delta) if delta is not None else _central_limit(ens, c)
-
-
-def thm2_rate_and_error(ch, n: int, delta: float | None = None,
-                        c: float | None = None) -> BoundResult:
-    """Analytic rate/error pair for the parity-check ensemble.
-
-    Exactly one of delta (tilted large-deviation form, rates away from
-    capacity) or c (central-limit form, rates near or above capacity)
-    selects the variant. The returned rate is the largest rate at which
-    the returned error bound is guaranteed.
-    """
-    return _rate_and_error(_ensemble(ch, None, n), delta, c)
-
-
-def thm4_rate_and_error(ch, t: chn.InputType, n: int,
-                        delta: float | None = None,
-                        c: float | None = None) -> BoundResult:
-    """Analytic rate/error pair for the fixed-composition ensemble."""
-    return _rate_and_error(_ensemble(ch, t, n), delta, c)
-
-
 def _tilted_rate_curve(ens: Ensemble):
     """The tilted-form rate as a function of the tilt, and the largest tilt to use.
 
@@ -501,8 +462,7 @@ def _clt_c_for_rate(ens: Ensemble, rate_nats):
             f"rate {rate_nats} is outside the central-limit range at n={ens.n}") from exc
 
 
-def _clt_at_rate(ens: Ensemble, rate_nats, exact_tail=True,
-                 budget=None) -> BoundResult:
+def _clt_at_rate(ens: Ensemble, rate_nats, exact_tail=True) -> BoundResult:
     """Central-limit-form bound at a prescribed rate (possibly above capacity).
 
     Solves the rate condition for c, then reports the error from the
@@ -516,25 +476,13 @@ def _clt_at_rate(ens: Ensemble, rate_nats, exact_tail=True,
     out.rate_nats = rate_nats
     if exact_tail and isinstance(ens.ch, chn.DiscreteChannel):
         try:
-            exact = _tail_union(ens, rate_nats, out.delta, budget, exact_only=True)
+            exact = _tail_union(ens, rate_nats, out.delta, exact_only=True)
         except tail.LatticeInfeasibleError:
             return out
         exact.theorem, exact.lambda_or_c = out.theorem, c
         exact.extras["analytic_error"] = out.error_ub
         return exact
     return out
-
-
-def thm2_part1_at_rate(ch, n: int, rate_nats: float) -> BoundResult:
-    """Tilted-form bound at a prescribed rate below the certifiable peak."""
-    return _tilted_at_rate(_ensemble(ch, None, n), rate_nats)
-
-
-def thm2_part2_at_rate(ch, n: int, rate_nats: float,
-                       use_exact_tail: bool = True,
-                       budget: tail.TailBudget | None = None) -> BoundResult:
-    """Central-limit-form bound at a prescribed rate (possibly above capacity)."""
-    return _clt_at_rate(_ensemble(ch, None, n), rate_nats, use_exact_tail, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -565,32 +513,32 @@ def error_exponent(ch, input_dist: chn.InputType, rate_nats: float) -> float:
     return max(0.0, -best)
 
 
-def error_exponent_baseline(ch, input_dist: chn.InputType, n: int,
-                            rate_nats: float) -> float:
-    """exp(-n E_r(R)) comparison curve for the random-coding exponent."""
-    return min(1.0, math.exp(-n * error_exponent(ch, input_dist, rate_nats)))
-
-
 # ---------------------------------------------------------------------------
 # rate inversion: largest rate with bound <= eps
 # ---------------------------------------------------------------------------
 
-def _bisect_rate(err_of_rate, eps, lo, hi, iters=50):
-    """Largest rate with err_of_rate(rate) <= eps; err is nondecreasing."""
+def _bisect(ok, good, bad, iters, mid):
+    """Halve the bracket between good (ok) and bad (not ok) iters times at
+    mid(good, bad); return the end where ok holds."""
+    for _ in range(iters):
+        m = mid(good, bad)
+        if ok(m):
+            good = m
+        else:
+            bad = m
+    return good
+
+
+def _bisect_rate(err_of_rate, eps, lo, hi):
+    """Largest rate, up to 10 nats, with err_of_rate(rate) <= eps; err is nondecreasing."""
     if err_of_rate(lo) > eps:
         raise InfeasibleRateError(
             f"error target {eps} unreachable even at rate {lo}")
     while err_of_rate(hi) <= eps:
-        hi *= 1.5
-        if hi > 10.0:
+        if hi * 1.5 > 10.0:
             return hi
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if err_of_rate(mid) <= eps:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+        hi *= 1.5
+    return _bisect(lambda r: err_of_rate(r) <= eps, lo, hi, 50, lambda g, b: 0.5 * (g + b))
 
 
 def _tail_union_at_rate(ch, t, n, rate, budget=None, delta=None, **_):
@@ -631,14 +579,8 @@ def _tilted_rate_at_eps(ch, t, n, eps, budget):
     elif err(lam_hi) > eps:
         raise InfeasibleRateError(f"error target {eps} unreachable at n={n}")
     else:
-        lo, hi = lam_lo, lam_hi
-        for _ in range(80):
-            mid = math.sqrt(lo * hi)
-            if err(mid) > eps:
-                lo = mid
-            else:
-                hi = mid
-        lam_eps = hi
+        lam_eps = _bisect(lambda lam: not err(lam) > eps, lam_hi, lam_lo, 80,
+                          lambda g, b: math.sqrt(b * g))
     lam_hi = max(lam_hi, lam_eps * 1.001)
     lam, neg_rate = golden_min(lambda l: -rate(l),
                                np.geomspace(lam_eps, lam_hi, 96), 50)
@@ -671,7 +613,6 @@ def _clt_rate_at_eps(ch, t, n, eps, budget):
 
 
 def _ee_rate_at_eps(ch, t, n, eps, budget):
-    """The exponent reference exp(-n E_r(R)) of the input distribution t."""
     target = -math.log(eps) / n
     if error_exponent(ch, t, 1e-9) < target:
         raise InfeasibleRateError("exponent target unreachable")
@@ -695,10 +636,9 @@ def _tilted_row(ch, t, n, rate, delta=None, **_):
     return _tilted(ens, delta) if delta is not None else _tilted_at_rate(ens, rate)
 
 
-def _clt_row(ch, t, n, rate, c=None, exact_tail=True, budget=None, **_):
+def _clt_row(ch, t, n, rate, c=None, exact_tail=True, **_):
     ens = _ensemble(ch, t, n)
-    return (_central_limit(ens, c) if c is not None
-            else _clt_at_rate(ens, rate, exact_tail, budget))
+    return _central_limit(ens, c) if c is not None else _clt_at_rate(ens, rate, exact_tail)
 
 
 def _min_form_row(name, spec, as_channel, closed_form):
@@ -723,8 +663,9 @@ def _zform_row(ch, t, n, rate, k=None, **_):
 
 
 def _ee_row(ch, t, n, rate, **_):
+    """The exponent reference exp(-n E_r(R)) of the input distribution t."""
     return BoundResult(theorem="ee", n=n, rate_nats=rate,
-                       error_ub=error_exponent_baseline(ch, t, n, rate),
+                       error_ub=min(1.0, math.exp(-n * error_exponent(ch, t, rate))),
                        tail_kind="exponent")
 
 
@@ -778,7 +719,9 @@ def bound_at_rate(name: str, ch, n: int, rate_nats: float | None,
     """Error bound of the named table row at a rate (nats).
 
     options: delta (thm1/thm3 at that deviation, not the optimum), the
-    row's parameter, exact_tail, k (closed forms at M = 2^k) and dt_variant.
+    row's parameter (delta of thm2p1/thm4p1, c of thm2p2/thm4p2: it sets
+    the rate, and rate_nats may be None), exact_tail, k (closed forms at
+    M = 2^k) and dt_variant.
     """
     th, t = _lookup(name, ch, t)
     return th.at_rate(ch, t, n, rate_nats, budget=budget, **options)

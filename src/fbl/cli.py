@@ -134,9 +134,9 @@ NEP_HEADER = ["n", "delta", "family", "exact", "lower", "upper", "chernoff",
               "exact_kind"]
 
 
-def _bound_row(res: ach.BoundResult, ci=("", "")):
+def _bound_row(res: ach.BoundResult):
     return [res.n, res.rate_bits, res.rate_nats, res.error_ub,
-            ci[0], ci[1], res.theorem, res.delta, res.lambda_or_c,
+            "", "", res.theorem, res.delta, res.lambda_or_c,
             res.tail_kind]
 
 

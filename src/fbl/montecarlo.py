@@ -196,25 +196,18 @@ class JarOutcome:
     tie: bool
 
 
-def _check_tie_break(tie_break):
-    if tie_break not in _TIE_BREAKS:
-        raise ValueError(f"tie_break must be one of {_TIE_BREAKS}, got {tie_break!r}")
-
-
 def jar_decode(ch, y, delta: float, jar_kind, codebook_bits: np.ndarray,
-               transmitted: int, tie_break: str = "pessimistic",
-               rng: np.random.Generator | None = None) -> JarOutcome:
+               transmitted: int) -> JarOutcome:
     """Threshold-set decoding of one received word.
 
     jar_kind is ("cond_entropy",) for the parity-check decoder (metric
     threshold H(X|Y) + delta) or ("rel_entropy", t) for the
     fixed-composition decoder (threshold -I(t;P) + delta, strict).
     Success requires the transmitted word to be the only codeword in the
-    set; under the default pessimistic convention any tie counts as an
-    error (matching the union event the bounds control). This is the
-    one-trial case of the decoder `simulate_pe` runs on whole slices.
+    set; any tie counts as an error (the pessimistic convention, matching
+    the union event the bounds control). This is the one-trial case of the
+    decoder `simulate_pe` runs on whole slices.
     """
-    _check_tie_break(tie_break)
     scores = _letter_scores(ch, jar_kind)(np.asarray(y)[None])
     inside, differs = _jar_sets(scores, np.asarray(codebook_bits)[None],
                                 np.array([transmitted]), *_jar_limit(ch, jar_kind, delta))
@@ -225,10 +218,7 @@ def jar_decode(ch, y, delta: float, jar_kind, codebook_bits: np.ndarray,
                           error=True, tie=False)
     if not differs[member_idx].any():
         return JarOutcome(decoded=transmitted, error=False, tie=False)
-    if tie_break == "pessimistic":
-        return JarOutcome(decoded=None, error=True, tie=True)
-    pick = int(member_idx[rng.integers(0, member_idx.size)])
-    return JarOutcome(decoded=pick, error=bool(differs[pick]), tie=True)
+    return JarOutcome(decoded=None, error=True, tie=True)
 
 
 def _letter_scores(ch, jar_kind):
@@ -357,7 +347,8 @@ def simulate_pe(ch, spec, delta: float, trials: int, seed: int,
     """
     if trials < 1000:
         raise ValueError("use at least 1000 trials")
-    _check_tie_break(tie_break)
+    if tie_break not in _TIE_BREAKS:
+        raise ValueError(f"tie_break must be one of {_TIE_BREAKS}, got {tie_break!r}")
     if isinstance(spec, GallagerSpec):
         n, k = spec.n, spec.k
         if n > GALLAGER_N_CAP:

@@ -19,6 +19,11 @@ LOG_ZERO = float("-inf")
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_SOLVE_XTOL = 1e-14
+_SOLVE_MAX_ITER = 400
+_MAX_DENOMINATOR = 10 ** 6
+_STEP_RTOL = 1e-9
+_MAX_MULTIPLIER = 10 ** 4
 
 
 class BracketError(ValueError):
@@ -98,12 +103,12 @@ def log_multinom(counts) -> float:
 
 
 def solve_monotone(f, target: float, lo: float, hi: float,
-                   rtol: float = 1e-10, xtol: float = 1e-14,
-                   max_iter: int = 400) -> float:
+                   rtol: float = 1e-10) -> float:
     """Solve f(x) = target for nondecreasing f on [lo, hi] by bisection.
 
-    Stops when |f(x) - target| <= rtol * max(1, |target|) or the bracket
-    width drops below xtol (absolute, or relative for large x).
+    Stops when |f(x) - target| <= rtol * max(1, |target|), when the
+    bracket width drops below _SOLVE_XTOL (absolute, or relative for
+    large x), or after _SOLVE_MAX_ITER steps.
     Raises BracketError when the target is not enclosed.
     """
     ftol = rtol * max(1.0, abs(target))
@@ -111,7 +116,7 @@ def solve_monotone(f, target: float, lo: float, hi: float,
     if flo > target + ftol or fhi < target - ftol:
         raise BracketError(
             f"target {target} outside [f(lo), f(hi)] = [{flo}, {fhi}]")
-    for _ in range(max_iter):
+    for _ in range(_SOLVE_MAX_ITER):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
         if abs(fm - target) <= ftol:
@@ -120,7 +125,7 @@ def solve_monotone(f, target: float, lo: float, hi: float,
             lo = mid
         else:
             hi = mid
-        if hi - lo <= xtol * max(1.0, abs(mid)):
+        if hi - lo <= _SOLVE_XTOL * max(1.0, abs(mid)):
             break
     return 0.5 * (lo + hi)
 
@@ -234,14 +239,14 @@ def composite_gauss_legendre(lo: float, hi: float, panel_width: float = 0.5,
     return nodes, weights
 
 
-def rationalize_step(diffs, max_denominator: int = 10 ** 6,
-                     rel_tol: float = 1e-9, max_multiplier: int = 10 ** 4):
+def rationalize_step(diffs):
     """Common lattice step for a set of positive reals, or None.
 
     Uses continued-fraction rationalization of each ratio against the
-    smallest difference; succeeds when every input is an integer multiple
-    of the returned step to within rel_tol relative. Steps that would
-    give any input a multiplier above max_multiplier are rejected: a
+    smallest difference (denominators up to _MAX_DENOMINATOR);
+    succeeds when every input is an integer multiple of the returned step
+    to within _STEP_RTOL relative. Steps that would give any input a
+    multiplier above _MAX_MULTIPLIER are rejected: a
     genuine lattice has small multipliers, while irrational ratios can
     always be faked with astronomically fine steps.
     """
@@ -252,15 +257,15 @@ def rationalize_step(diffs, max_denominator: int = 10 ** 6,
     denom_lcm = 1
     for d in diffs:
         r = d / base
-        frac = Fraction(r).limit_denominator(max_denominator)
-        if frac.numerator == 0 or abs(r - float(frac)) > rel_tol * r:
+        frac = Fraction(r).limit_denominator(_MAX_DENOMINATOR)
+        if frac.numerator == 0 or abs(r - float(frac)) > _STEP_RTOL * r:
             return None
         denom_lcm = denom_lcm * frac.denominator // math.gcd(denom_lcm, frac.denominator)
-        if denom_lcm > max_denominator:
+        if denom_lcm > _MAX_DENOMINATOR:
             return None
     step = base / denom_lcm
     for d in diffs:
         k = round(d / step)
-        if k == 0 or k > max_multiplier or abs(k * step - d) > rel_tol * max(step, d):
+        if k == 0 or k > _MAX_MULTIPLIER or abs(k * step - d) > _STEP_RTOL * max(step, d):
             return None
     return step

@@ -4,13 +4,14 @@ The single-letter statistics of a discrete channel (channel.statistic,
 one row per input in use) take finitely many values; when those values
 share a common lattice step the n-fold sum lives on an integer grid and
 its tail can be computed exactly by a log-domain convolution (binomial
-weights for a two-point row). That
+weights for a two-point row), within a fixed state budget. That
 distribution depends on neither the deviation nor the rate, so it is
-built once per (channel, composition, n, state budget), kept in a small
-memo with the statistic's mean, and every deviation is read off the
-same array. Otherwise a seeded Monte-Carlo estimate (with a Wilson
-99% interval) stands in, and continuous-output channels fall back to
-the two-sided sandwich from the tilted-measure module.
+built once per (channel, composition, n), kept in a small memo with the
+statistic's mean, and every deviation is read off the same array as one
+slice. Otherwise a seeded Monte-Carlo estimate (with a Wilson 99%
+interval; `TailBudget` holds its sample count and seed) stands in, and
+continuous-output channels fall back to the two-sided sandwich from the
+tilted-measure module.
 
 Inequality conventions follow the two deviation events literally: the
 conditional-entropy event is a strict upper tail (borderline lattice
@@ -34,6 +35,8 @@ from .numkit import philox_rng, q_inv, rationalize_step
 _WILSON_Z99 = q_inv(0.005)
 _MERGE_TOL = 1e-12
 _SLACK = 1e-9
+_MAX_LATTICE_STATES = 10 ** 7   # states of one exact lattice distribution
+_MC_SHARD = 65536               # Monte-Carlo samples per generator key
 
 
 class LatticeInfeasibleError(ValueError):
@@ -42,11 +45,9 @@ class LatticeInfeasibleError(ValueError):
 
 @dataclass(frozen=True)
 class TailBudget:
-    """Resource knobs for the exact/MC dispatch ladder."""
-    max_lattice_states: int = 10 ** 7
+    """Sample count and seed of the Monte-Carlo tail estimate."""
     mc_samples: int = 10 ** 6
     seed: int = 20240817
-    shard: int = 65536
 
 
 @dataclass(frozen=True)
@@ -54,7 +55,6 @@ class LatticeSpec:
     """Single-letter distribution: distinct real atoms with probabilities."""
     values: np.ndarray
     probs: np.ndarray
-    lattice_step: float | None = None
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -72,7 +72,7 @@ class LatticeSpec:
 
     @classmethod
     def from_atoms(cls, values, probs) -> "LatticeSpec":
-        """Build a spec, merging duplicate atoms and detecting the lattice step."""
+        """Build a spec, merging duplicate atoms."""
         values = np.asarray(values, dtype=float)
         probs = np.asarray(probs, dtype=float)
         keep_v, keep_p = [], []
@@ -84,9 +84,7 @@ class LatticeSpec:
             else:
                 keep_v.append(v)
                 keep_p.append(p)
-        v = np.array(keep_v)
-        step = rationalize_step(np.diff(v)) if len(keep_v) > 1 else 0.0
-        return cls(v, np.array(keep_p), lattice_step=step)
+        return cls(np.array(keep_v), np.array(keep_p))
 
 
 def _lattice_step(rows):
@@ -124,16 +122,16 @@ def _convolve_log(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _power_log(logp: np.ndarray, n: int, max_states: int) -> np.ndarray:
+def _power_log(logp: np.ndarray, n: int) -> np.ndarray:
     """n-fold log-domain self-convolution of a row's log-pmf (mass at both ends).
 
     A two-point law gets binomial weights on multiples of its atoms'
     distance; three or more points go stage by stage.
     """
     span = (logp.size - 1) * n + 1
-    if span > max_states:
+    if span > _MAX_LATTICE_STATES:
         raise LatticeInfeasibleError(
-            f"lattice DP needs {span} states, budget is {max_states}")
+            f"lattice DP needs {span} states, budget is {_MAX_LATTICE_STATES}")
     if logp.size > 1 and np.all(logp[1:-1] == -np.inf):
         j = np.arange(n + 1)
         out = np.full(span, -np.inf)
@@ -146,11 +144,8 @@ def _power_log(logp: np.ndarray, n: int, max_states: int) -> np.ndarray:
     return acc
 
 
-def _sum_distribution(rows, max_states):
+def _sum_distribution(rows):
     """Distribution of the total sum: (offset, step, log-pmf over indices)."""
-    for ls, cnt in rows:
-        if ls.lattice_step is None and ls.values.size > 1:
-            raise LatticeInfeasibleError("spec carries no lattice step")
     step = _lattice_step(rows)
     offset = 0.0
     acc = np.array([0.0])
@@ -158,8 +153,8 @@ def _sum_distribution(rows, max_states):
         base, logp = _row_pmf_on_lattice(ls, step if step else 1.0)
         offset += cnt * base
         if logp.size > 1:
-            acc = _convolve_log(acc, _power_log(logp, cnt, max_states))
-            if acc.size > max_states:
+            acc = _convolve_log(acc, _power_log(logp, cnt))
+            if acc.size > _MAX_LATTICE_STATES:
                 raise LatticeInfeasibleError("lattice DP exceeded state budget")
     return offset, step, acc
 
@@ -170,33 +165,27 @@ def _tail_from_distribution(offset, step, log_pmf, threshold, side):
         edge = threshold + _SLACK * max(1.0, abs(threshold))
         hit = offset > edge if side == "gt" else offset <= edge
         return 0.0 if hit else -math.inf
-    # index k corresponds to value offset + k*step
+    # index k corresponds to value offset + k*step; k <= x exactly when k < cut
     kappa = (threshold - offset) / step
-    slack = _SLACK * max(1.0, abs(kappa))
-    k = np.arange(log_pmf.size)
-    mask = (k > kappa + slack) if side == "gt" else (k <= kappa + slack)
-    if np.all(mask):
+    x = kappa + _SLACK * max(1.0, abs(kappa))
+    cut = 0 if x < 0 else log_pmf.size if x >= log_pmf.size else math.floor(x) + 1
+    part = log_pmf[cut:] if side == "gt" else log_pmf[:cut]
+    if part.size == log_pmf.size:
         return 0.0  # the whole distribution, whatever its rounding
-    return float(logsumexp(log_pmf[mask]))  # -inf when empty
+    return float(logsumexp(part))  # -inf when empty
 
 
-def exact_tail(ls: LatticeSpec, n: int, threshold: float,
-               side: str = "gt", max_states: int = 10 ** 7) -> TailEstimate:
-    """Exact tail of the n-fold i.i.d. sum via lattice convolution.
+def exact_tail_rows(rows, threshold: float, side: str = "gt") -> TailEstimate:
+    """Exact tail of an independent sum drawn row-wise (count copies of each
+    row's spec) via lattice convolution.
 
     side='gt' gives P{sum > threshold} (strict), side='le' gives
     P{sum <= threshold}. Raises LatticeInfeasibleError when the atoms do
     not share a lattice or the state budget is exceeded.
     """
-    return exact_tail_rows([(ls, n)], threshold, side=side, max_states=max_states)
-
-
-def exact_tail_rows(rows, threshold: float, side: str = "gt",
-                    max_states: int = 10 ** 7) -> TailEstimate:
-    """Exact tail for an independent sum drawn row-wise (count copies each)."""
     if side not in ("gt", "le"):
         raise ValueError(f"side must be 'gt' or 'le', got {side!r}")
-    offset, step, log_pmf = _sum_distribution(rows, max_states)
+    offset, step, log_pmf = _sum_distribution(rows)
     return _exact_estimate(
         _tail_from_distribution(offset, step, log_pmf, threshold, side))
 
@@ -207,11 +196,12 @@ def _exact_estimate(log_tail: float) -> TailEstimate:
     return TailEstimate(kind="exact", value=min(value, 1.0), log_value=log_tail)
 
 
-def wilson_interval(hits: int, trials: int, z: float = _WILSON_Z99):
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(hits: int, trials: int):
+    """Wilson score 99% interval for a binomial proportion."""
     if trials <= 0:
         raise ValueError("trials must be positive")
     phat = hits / trials
+    z = _WILSON_Z99
     z2 = z * z
     denom = 1.0 + z2 / trials
     center = (phat + z2 / (2 * trials)) / denom
@@ -219,19 +209,15 @@ def wilson_interval(hits: int, trials: int, z: float = _WILSON_Z99):
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def mc_tail(ls: LatticeSpec, n: int, threshold: float, samples: int,
-            seed: int, side: str = "gt", shard: int = 65536) -> TailEstimate:
-    """Monte-Carlo tail estimate with a 99% Wilson interval.
-
-    Sampling is sharded into fixed blocks with per-shard generators
-    derived from (seed, shard index), so the result is bit-identical no
-    matter how shards are scheduled.
-    """
-    return mc_tail_rows([(ls, n)], threshold, samples, seed, side=side, shard=shard)
-
-
 def mc_tail_rows(rows, threshold: float, samples: int, seed: int,
-                 side: str = "gt", shard: int = 65536) -> TailEstimate:
+                 side: str = "gt") -> TailEstimate:
+    """Monte-Carlo estimate, with a 99% Wilson interval, of the tail that
+    exact_tail_rows computes.
+
+    Sampling is sharded into blocks of _MC_SHARD samples with per-shard
+    generators derived from (seed, shard index), so the result is
+    bit-identical no matter how shards are scheduled.
+    """
     if samples < 1000:
         raise ValueError("use at least 1000 samples")
     slack = _SLACK * max(1.0, abs(threshold))
@@ -239,7 +225,7 @@ def mc_tail_rows(rows, threshold: float, samples: int, seed: int,
     done = 0
     shard_index = 0
     while done < samples:
-        m = min(shard, samples - done)
+        m = min(_MC_SHARD, samples - done)
         rng = philox_rng(seed, shard_index)
         total = np.zeros(m)
         for ls, cnt in rows:
@@ -285,29 +271,27 @@ def _deviation_event(centre: float, t, delta: float, n: int):
     return n * (centre - delta), "le"
 
 
-# One distribution per (channel, composition, n, state budget); channels
-# hash by identity, compositions by value. The rate curves walk one key at
-# a time, and an entry can hold as many states as the budget allows, so
-# the memo stays small. LatticeInfeasibleError is raised, not cached.
+# One distribution per (channel, composition, n); channels hash by
+# identity, compositions by value. The rate curves walk one key at a time,
+# and an entry can hold as many states as the budget allows, so the memo
+# stays small. LatticeInfeasibleError is raised, not cached.
 @lru_cache(maxsize=4)
-def _lattice_distribution(ch, t, n: int, max_states: int):
+def _lattice_distribution(ch, t, n: int):
     """(offset, step, log-pmf, per-letter centre) of the n-letter sum."""
-    offset, step, log_pmf = _sum_distribution(_statistic_rows(ch, t, n), max_states)
+    offset, step, log_pmf = _sum_distribution(_statistic_rows(ch, t, n))
     log_pmf.setflags(write=False)
     return offset, step, log_pmf, _centre(ch, t)
 
 
 def lattice_tail(ch: chn.DiscreteChannel, t: chn.InputType | None, delta: float,
-                 n: int, budget: TailBudget | None = None) -> TailEstimate:
+                 n: int) -> TailEstimate:
     """Exact deviation probability of pdelta (t None) or ptdelta (type t).
 
     Reads the tail off the memoised lattice distribution of the n-letter
     sum. Raises LatticeInfeasibleError when the atoms share no lattice or
-    the distribution needs more states than the budget allows.
+    the distribution needs more than _MAX_LATTICE_STATES states.
     """
-    budget = budget or TailBudget()
-    offset, step, log_pmf, centre = _lattice_distribution(
-        ch, t, n, budget.max_lattice_states)
+    offset, step, log_pmf, centre = _lattice_distribution(ch, t, n)
     threshold, side = _deviation_event(centre, t, delta, n)
     return _exact_estimate(
         _tail_from_distribution(offset, step, log_pmf, threshold, side))
@@ -316,11 +300,11 @@ def lattice_tail(ch: chn.DiscreteChannel, t: chn.InputType | None, delta: float,
 def _discrete_tail(ch, t, delta, n, budget):
     """The exact lattice tail, else a Monte-Carlo estimate of the same event."""
     try:
-        return lattice_tail(ch, t, delta, n, budget)
+        return lattice_tail(ch, t, delta, n)
     except LatticeInfeasibleError:
         threshold, side = _deviation_event(_centre(ch, t), t, delta, n)
         return mc_tail_rows(_statistic_rows(ch, t, n), threshold, budget.mc_samples,
-                            budget.seed, side=side, shard=budget.shard)
+                            budget.seed, side=side)
 
 
 def pdelta(ch, delta: float, n: int,
@@ -328,8 +312,8 @@ def pdelta(ch, delta: float, n: int,
     """Deviation probability of the conditional-entropy sum.
 
     P{ -(1/n) sum ln p(X_i|Z_i) > H(X|Y) + delta } under uniform input.
-    Dispatch: exact lattice DP (its distribution built once per channel,
-    n and state budget, and reused for every delta), then Monte Carlo,
+    Dispatch: exact lattice DP (its distribution built once per channel
+    and n, and reused for every delta), then Monte Carlo,
     then the tilted-measure sandwich for continuous-output channels.
     """
     budget = budget or TailBudget()
@@ -345,7 +329,7 @@ def ptdelta(ch, t: chn.InputType, delta: float, n: int,
     P{ sum ln(p(Y_i|x_i)/q_t(Y_i)) <= n (I(t;P) - delta) } for any fixed
     input of composition t (the law depends on the input only through t).
     The same dispatch as pdelta; the lattice distribution is built once
-    per (channel, t, n, state budget) and reused for every delta.
+    per (channel, t, n) and reused for every delta.
     """
     budget = budget or TailBudget()
     if isinstance(ch, chn.BiAwgn):

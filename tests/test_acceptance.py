@@ -83,7 +83,7 @@ def test_criterion_2_bec_closed_form_equivalence():
 def test_criterion_3_above_capacity_anchor():
     ch = chn.bsc(0.12)
     cap = chn.linear_capacity(ch)
-    res = ach.thm2_part2_at_rate(ch, 1000, 1.0021 * cap)
+    res = ach.bound_at_rate("thm2p2", ch, 1000, 1.0021 * cap)
     ok = 0.60 <= res.error_ub <= 0.70 and res.tail_kind == "exact"
     assert report(3, ok, f"error_ub={res.error_ub:.4f} (target [0.60, 0.70])")
 
@@ -263,9 +263,8 @@ def test_criterion_9_ordering_reproduction():
     ok_b = True
     for frac in np.linspace(0.3, 0.9, 10):
         rate = frac * cap
-        e1 = ach.thm2_part1_at_rate(awgn, 1000, rate).error_ub
-        e2 = ach.thm2_part2_at_rate(awgn, 1000, rate,
-                                    use_exact_tail=False).error_ub
+        e1 = ach.bound_at_rate("thm2p1", awgn, 1000, rate).error_ub
+        e2 = ach.bound_at_rate("thm2p2", awgn, 1000, rate, exact_tail=False).error_ub
         if e1 >= e2:
             ok_b = False
     for eps in (0.05, 0.07):

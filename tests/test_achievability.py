@@ -210,6 +210,20 @@ class TestThm1LatticeMinimum:
         assert res.components[0] == pytest.approx(at_delta.components[0], rel=1e-12)
         assert res.components[1] <= at_delta.components[1]
 
+    def test_delta_below_the_centre_is_signed(self):
+        # the optimal threshold lies below n H(X|Y): the row's delta is
+        # negative, and the tail + union bound at it has the row's tail term
+        ch = chn.DiscreteChannel(_golden_lattice_channel(1, 2))
+        n, k = 60, 20
+        cp = ach.CodeParams(n, k=k)
+        res = ach.thm1_optimized(ch, cp)
+        assert res.delta < 0
+        f0 = 1.0 / (1.0 - 2.0 ** -n)
+        assert f0 * tail.pdelta(ch, res.delta, n).value == pytest.approx(
+            res.components[0], rel=1e-12)
+        assert res.components[0] == pytest.approx(0.96159, abs=1e-5)
+        assert res.error_ub <= ach.thm1_bound(ch, cp, res.delta).error_ub
+
     @pytest.mark.parametrize("ch, k, delta", [
         # an exact tie at t = 10 erasures: union weight 2^(6 - 16 + 10) = f0
         (chn.bec(0.5), 6, 0.09375 * LN2),
@@ -295,7 +309,7 @@ class TestThm2:
         ch = chn.zchannel(0.5)
         n = 400
         s = chn.moment_summary(ch)
-        res = ach.thm2_rate_and_error(ch, n, c=0.0)
+        res = ach.bound_at_rate("thm2p2", ch, n, None, c=0.0)
         sigma = math.sqrt(s.sigma2_h)
         expect = (0.5 / (1 - 2.0 ** -n)
                   + (0.4784 * s.m3_h / sigma ** 3
@@ -308,7 +322,7 @@ class TestThm2:
 
     def test_part1_rate_and_error_structure(self):
         ch = chn.bsc(0.11)
-        res = ach.thm2_rate_and_error(ch, 1000, delta=0.05)
+        res = ach.bound_at_rate("thm2p1", ch, 1000, None, delta=0.05)
         assert res.theorem == "thm2p1"
         assert 0 < res.error_ub < 1
         assert res.lambda_or_c == pytest.approx(0.107, abs=0.01)
@@ -319,7 +333,7 @@ class TestThm2:
         # the analytic form must dominate tail + union at the same delta
         ch = chn.bsc(0.11)
         n, delta = 1000, 0.05
-        res = ach.thm2_rate_and_error(ch, n, delta=delta)
+        res = ach.bound_at_rate("thm2p1", ch, n, None, delta=delta)
         direct = ach.thm1_bound(ch, ach.CodeParams(n, rate_nats=res.rate_nats),
                                 delta)
         assert direct.error_ub <= res.error_ub + 1e-12
@@ -327,25 +341,24 @@ class TestThm2:
     def test_part2_at_rate_above_capacity_anchor(self):
         ch = chn.bsc(0.12)
         cap = chn.linear_capacity(ch)
-        res = ach.thm2_part2_at_rate(ch, 1000, 1.0021 * cap)
+        res = ach.bound_at_rate("thm2p2", ch, 1000, 1.0021 * cap)
         assert res.tail_kind == "exact"
         assert 0.60 <= res.error_ub <= 0.70
-        analytic = ach.thm2_part2_at_rate(ch, 1000, 1.0021 * cap,
-                                          use_exact_tail=False)
+        analytic = ach.bound_at_rate("thm2p2", ch, 1000, 1.0021 * cap, exact_tail=False)
         assert res.error_ub <= analytic.error_ub
 
     def test_part1_at_rate_roundtrip(self):
         ch = chn.bsc(0.11)
         n = 1000
-        base = ach.thm2_rate_and_error(ch, n, delta=0.04)
-        back = ach.thm2_part1_at_rate(ch, n, base.rate_nats)
+        base = ach.bound_at_rate("thm2p1", ch, n, None, delta=0.04)
+        back = ach.bound_at_rate("thm2p1", ch, n, base.rate_nats)
         assert back.delta == pytest.approx(0.04, abs=1e-6)
         assert back.error_ub == pytest.approx(base.error_ub, rel=1e-4)
 
     def test_part1_infeasible_rate(self):
         ch = chn.bsc(0.11)
         with pytest.raises(ach.InfeasibleRateError):
-            ach.thm2_part1_at_rate(ch, 1000, chn.linear_capacity(ch) * 1.5)
+            ach.bound_at_rate("thm2p1", ch, 1000, chn.linear_capacity(ch) * 1.5)
 
 
 class TestCentralLimitTailPath:
@@ -356,7 +369,6 @@ class TestCentralLimitTailPath:
     def _no_monte_carlo(self, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("Monte-Carlo tail drawn")
-        monkeypatch.setattr(tail, "mc_tail", fail)
         monkeypatch.setattr(tail, "mc_tail_rows", fail)
 
     def test_thm2p2_on_z_channel(self):
@@ -371,8 +383,9 @@ class TestCentralLimitTailPath:
         ch = chn.DiscreteChannel([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]])
         n = 1000
         rate = 0.5 * chn.mutual_info(ch, UNIF)
-        assert all(spec.lattice_step is None
-                   for spec, _ in tail._statistic_rows(ch, UNIF, n))
+        for row in tail._statistic_rows(ch, UNIF, n):
+            with pytest.raises(tail.LatticeInfeasibleError):
+                tail._lattice_step([row])
         with pytest.raises(tail.LatticeInfeasibleError):
             tail.lattice_tail(ch, UNIF, 0.05, n)
         res = ach.bound_at_rate("thm4p2", ch, n, rate, t=UNIF)
@@ -411,8 +424,8 @@ class TestThm4:
         # by the type-class defect over n (constants differ: 0.56 vs 0.4784)
         ch = chn.bsc(0.11)
         n, c = 1024, 0.7
-        r2 = ach.thm2_rate_and_error(ch, n, c=c)
-        r4 = ach.thm4_rate_and_error(ch, UNIF, n, c=c)
+        r2 = ach.bound_at_rate("thm2p2", ch, n, None, c=c)
+        r4 = ach.bound_at_rate("thm4p2", ch, n, None, t=UNIF, c=c)
         defect = n * UNIF.entropy() - chn.log_type_class_size(UNIF, n)
         assert r2.rate_nats - r4.rate_nats == pytest.approx(defect / n, rel=1e-10)
         s = chn.moment_summary(ch, UNIF)
@@ -421,7 +434,7 @@ class TestThm4:
     def test_part2_c_zero_center(self):
         ch = chn.zchannel(0.5)
         s = chn.moment_summary(ch, UNIF)
-        res = ach.thm4_rate_and_error(ch, UNIF, 256, c=0.0)
+        res = ach.bound_at_rate("thm4p2", ch, 256, None, t=UNIF, c=0.0)
         sigma = math.sqrt(s.sigma2_d)
         expect = 0.5 + (0.56 * s.m3_d / sigma ** 3
                         + 1 / math.sqrt(2 * math.pi * s.sigma2_d)) / 16.0
@@ -433,7 +446,7 @@ class TestThm4:
         t_cap = chn.InputType((Fraction(1, 2), Fraction(1, 2)))
         t_alt = chn.InputType((Fraction(3, 4), Fraction(1, 4)))
         for t in (t_cap, t_alt):
-            res = ach.thm4_rate_and_error(ch, t, 100, delta=0.02)
+            res = ach.bound_at_rate("thm4p1", ch, 100, None, t=t, delta=0.02)
             assert 0 < res.error_ub <= 1.0
             assert math.isfinite(res.rate_nats)
 
@@ -484,8 +497,7 @@ class TestErrorExponent:
     def test_zero_exponent_at_mutual_information(self):
         ch = chn.bsc(0.11)
         mi = chn.mutual_info(ch, UNIF)
-        assert ach.error_exponent_baseline(ch, UNIF, 500, mi) == pytest.approx(
-            1.0, abs=1e-9)
+        assert ach.bound_at_rate("ee", ch, 500, mi).error_ub == pytest.approx(1.0, abs=1e-9)
         assert ach.error_exponent(ch, UNIF, mi * 1.05) == pytest.approx(
             0.0, abs=1e-12)
 
@@ -507,7 +519,7 @@ class TestErrorExponent:
     def test_worse_than_optimized_bound_at_moderate_error(self):
         ch = chn.bsc(0.11)
         n, rate = 1000, 0.4 * LN2
-        ee = ach.error_exponent_baseline(ch, UNIF, n, rate)
+        ee = ach.bound_at_rate("ee", ch, n, rate).error_ub
         t1 = ach.thm1_optimized(ch, ach.CodeParams(n, rate_nats=rate))
         assert t1.error_ub < ee
 
@@ -573,6 +585,13 @@ class TestMaxRateAtEps:
         ch = chn.BiAwgn(1.0)
         with pytest.raises(ach.InfeasibleRateError):
             ach.max_rate_at_eps(ch, 1000, 1e-6, "thm2p2")
+
+    def test_rate_bisection_returns_a_checked_rate(self):
+        # the bracket grows by 1.5 from 1 nat: 7.59 meets eps, 11.39 would not
+        def err(rate):
+            return 0.0 if rate <= 8.0 else 1.0
+
+        assert err(ach._bisect_rate(err, 0.5, 1e-9, 1.0)) <= 0.5
 
     def test_ee_matches_exponent_inversion(self):
         ch = chn.bsc(0.11)

@@ -73,17 +73,6 @@ class TestJarDecode:
         out = mc.jar_decode(ch, y, 10.0, ("cond_entropy",), book, 1)
         assert out.tie and out.error
 
-    def test_random_tie_break_can_succeed(self):
-        ch = chn.bsc(0.11)
-        code = mc.sample_gallager(10, 2, seed=3)
-        book = mc._words_to_bits(code.codewords, 10)
-        y = book[1].copy()
-        rng = np.random.default_rng(0)
-        outcomes = [mc.jar_decode(ch, y, 10.0, ("cond_entropy",), book, 1,
-                                  tie_break="random", rng=rng).error
-                    for _ in range(64)]
-        assert any(outcomes) and not all(outcomes)
-
     def test_matches_exhaustive_membership_oracle(self):
         # all 2^16 candidate words scored directly against the threshold
         ch = chn.bsc(0.11)
@@ -239,7 +228,3 @@ class TestBatchedSimulator:
         with pytest.raises(ValueError, match="tie_break"):
             mc.simulate_pe(ch, mc.GallagerSpec(8, 2), 0.1, 1000, seed=0,
                            tie_break="Pessimistic")
-        book = mc._words_to_bits(mc.sample_gallager(8, 2, seed=0).codewords, 8)
-        with pytest.raises(ValueError, match="tie_break"):
-            mc.jar_decode(ch, book[1], 0.1, ("cond_entropy",), book, 1,
-                          tie_break="first")

@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 from scipy.stats import binom
 
 from fbl import achievability as ach
@@ -39,7 +40,7 @@ class TestLatticeSpec:
         ls = tail.LatticeSpec.from_atoms([0.3, 0.1, 0.3], [0.2, 0.5, 0.3])
         assert ls.values == pytest.approx([0.1, 0.3])
         assert ls.probs == pytest.approx([0.5, 0.5])
-        assert ls.lattice_step == pytest.approx(0.2)
+        assert tail._lattice_step([(ls, 1)]) == pytest.approx(0.2)
 
     def test_prob_validation(self):
         with pytest.raises(ValueError):
@@ -48,7 +49,8 @@ class TestLatticeSpec:
     def test_non_lattice_detection(self):
         ls = tail.LatticeSpec.from_atoms(
             [0.0, math.log(2), math.log(3)], [0.3, 0.3, 0.4])
-        assert ls.lattice_step is None
+        with pytest.raises(tail.LatticeInfeasibleError):
+            tail._lattice_step([(ls, 1)])
 
 
 class TestExactTail:
@@ -59,17 +61,17 @@ class TestExactTail:
         h = chn.cond_entropy(chn.bsc(p))
         ratio = math.log((1 - p) / p)
         delta = ratio * (2.5 / 4 - p)  # tail = {weight > 2.5}
-        est = tail.exact_tail(spec, 4, 4 * (h + delta))
+        est = tail.exact_tail_rows([(spec, 4)], 4 * (h + delta))
         expect = math.comb(4, 3) * p ** 3 * (1 - p) + p ** 4
         assert est.value == pytest.approx(expect, rel=1e-12)
 
     def test_threshold_below_support(self):
         ls = tail.LatticeSpec.from_atoms([1.0, 2.0], [0.5, 0.5])
-        assert tail.exact_tail(ls, 5, 0.0).value == 1.0
+        assert tail.exact_tail_rows([(ls, 5)], 0.0).value == 1.0
 
     def test_threshold_above_support(self):
         ls = tail.LatticeSpec.from_atoms([1.0, 2.0], [0.5, 0.5])
-        assert tail.exact_tail(ls, 5, 100.0).value == 0.0
+        assert tail.exact_tail_rows([(ls, 5)], 100.0).value == 0.0
 
     def test_exhaustive_two_and_three_atoms(self):
         rng = np.random.default_rng(3)
@@ -85,7 +87,7 @@ class TestExactTail:
                 for n in (1, 5, 12):
                     thr = float(rng.uniform(n * values.min(), n * values.max()))
                     for side in ("gt", "le"):
-                        got = tail.exact_tail(ls, n, thr, side=side).value
+                        got = tail.exact_tail_rows([(ls, n)], thr, side=side).value
                         expect = enumerate_tail(values, probs, n, thr, side)
                         assert got == pytest.approx(expect, rel=1e-10, abs=1e-12)
 
@@ -93,8 +95,8 @@ class TestExactTail:
         ls = tail.LatticeSpec.from_atoms([0.0, 1.0], [0.5, 0.5])
         n = 4
         # threshold exactly on the lattice: 'gt' excludes the atom, 'le' keeps it
-        gt = tail.exact_tail(ls, n, 2.0, side="gt").value
-        le = tail.exact_tail(ls, n, 2.0, side="le").value
+        gt = tail.exact_tail_rows([(ls, n)], 2.0, side="gt").value
+        le = tail.exact_tail_rows([(ls, n)], 2.0, side="le").value
         assert gt == pytest.approx(float(binom.sf(2, n, 0.5)), rel=1e-12)
         assert le == pytest.approx(float(binom.cdf(2, n, 0.5)), rel=1e-12)
         assert gt + le == pytest.approx(1.0, rel=1e-12)
@@ -103,18 +105,19 @@ class TestExactTail:
         ls = tail.LatticeSpec.from_atoms(
             [0.0, math.log(2), math.log(3)], [0.3, 0.3, 0.4])
         with pytest.raises(tail.LatticeInfeasibleError):
-            tail.exact_tail(ls, 10, 1.0)
+            tail.exact_tail_rows([(ls, 10)], 1.0)
 
     def test_state_budget(self):
+        # 10^7 + 2 states: refused before anything is allocated
         ls = tail.LatticeSpec.from_atoms([0.0, 1.0], [0.5, 0.5])
         with pytest.raises(tail.LatticeInfeasibleError):
-            tail.exact_tail(ls, 10 ** 4, 5.0, max_states=10 ** 3)
+            tail.exact_tail_rows([(ls, 10 ** 7 + 1)], 5.0)
 
     def test_log_value_survives_underflow(self):
         p = 0.11
         spec = cond_spec(chn.bsc(p))
         h = chn.cond_entropy(chn.bsc(p))
-        est = tail.exact_tail(spec, 3000, 3000 * (h + 1.2))
+        est = tail.exact_tail_rows([(spec, 3000)], 3000 * (h + 1.2))
         assert est.value == 0.0 or est.value < 1e-300
         assert est.log_value < -700
 
@@ -122,21 +125,15 @@ class TestExactTail:
 class TestMcTail:
     def test_degenerate_atom(self):
         ls = tail.LatticeSpec.from_atoms([2.0], [1.0])
-        est = tail.mc_tail(ls, 10, 5.0, samples=2000, seed=1)
+        est = tail.mc_tail_rows([(ls, 10)], 5.0, samples=2000, seed=1)
         assert est.value == 1.0
         assert est.lower > 0.99
 
     def test_seed_replay_bit_identical(self):
         ls = cond_spec(chn.bsc(0.11))
-        a = tail.mc_tail(ls, 50, 50 * 0.40, samples=4000, seed=123)
-        b = tail.mc_tail(ls, 50, 50 * 0.40, samples=4000, seed=123)
+        a = tail.mc_tail_rows([(ls, 50)], 50 * 0.40, samples=4000, seed=123)
+        b = tail.mc_tail_rows([(ls, 50)], 50 * 0.40, samples=4000, seed=123)
         assert a.value == b.value and a.lower == b.lower
-
-    def test_sharding_invariance(self):
-        ls = cond_spec(chn.bsc(0.11))
-        a = tail.mc_tail(ls, 50, 50 * 0.40, samples=5000, seed=9, shard=1000)
-        b = tail.mc_tail(ls, 50, 50 * 0.40, samples=5000, seed=9, shard=1000)
-        assert a.value == b.value
 
     def test_coverage_against_exact(self):
         # interval with nominal 99% coverage: verify exactly via the
@@ -146,7 +143,7 @@ class TestMcTail:
         h = chn.cond_entropy(ch)
         n, delta, samples = 100, 0.05, 20000
         thr = n * (h + delta)
-        exact = tail.exact_tail(spec, n, thr).value
+        exact = tail.exact_tail_rows([(spec, n)], thr).value
         ks = np.arange(int(binom.ppf(1e-12, samples, exact)),
                        int(binom.ppf(1 - 1e-12, samples, exact)) + 1)
         cover = 0.0
@@ -157,14 +154,14 @@ class TestMcTail:
         assert cover >= 0.985
         hits = 0
         for seed in range(100):
-            est = tail.mc_tail(spec, n, thr, samples=samples, seed=seed)
+            est = tail.mc_tail_rows([(spec, n)], thr, samples=samples, seed=seed)
             hits += est.lower <= exact <= est.upper
         assert hits >= 96
 
     def test_minimum_samples(self):
         ls = tail.LatticeSpec.from_atoms([0.0, 1.0], [0.5, 0.5])
         with pytest.raises(ValueError):
-            tail.mc_tail(ls, 10, 5.0, samples=10, seed=0)
+            tail.mc_tail_rows([(ls, 10)], 5.0, samples=10, seed=0)
 
 
 class TestPdelta:
@@ -289,7 +286,7 @@ class TestPowerLog:
         oracle = np.array([0.0])
         for _ in range(n):
             oracle = tail._convolve_log(oracle, logp)
-        got = tail._power_log(logp, n, 10 ** 7)
+        got = tail._power_log(logp, n)
         assert got.shape == oracle.shape
         finite = oracle > -np.inf
         assert np.array_equal(got > -np.inf, finite)
@@ -297,11 +294,46 @@ class TestPowerLog:
 
     def test_two_point_power_respects_state_budget(self):
         with pytest.raises(tail.LatticeInfeasibleError):
-            tail._power_log(np.log([0.5, 0.5]), 100, 100)
+            tail._power_log(np.log([0.5, 0.5]), 10 ** 7 + 1)
+
+
+def mask_readout(offset, step, log_pmf, threshold, side):
+    """Oracle: the tail as a boolean mask over every lattice index."""
+    kappa = (threshold - offset) / step
+    slack = 1e-9 * max(1.0, abs(kappa))
+    k = np.arange(log_pmf.size)
+    mask = (k > kappa + slack) if side == "gt" else (k <= kappa + slack)
+    if np.all(mask):
+        return 0.0
+    return float(logsumexp(log_pmf[mask]))
+
+
+class TestReadout:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), size=st.integers(2, 40), offset=st.floats(-50.0, 50.0),
+           step=st.floats(1e-3, 10.0), side=st.sampled_from(["gt", "le"]))
+    def test_slice_equals_mask(self, data, size, offset, step, side):
+        mass = np.array(data.draw(st.lists(st.one_of(st.just(0.0), st.floats(0.01, 1.0)),
+                                           min_size=size, max_size=size), label="mass"))
+        assume(mass.sum() > 0)
+        with np.errstate(divide="ignore"):
+            log_pmf = np.log(mass / mass.sum())
+        if data.draw(st.booleans(), label="near an atom"):
+            # on the atom, within half the 1e-9 slack of it, or past the slack
+            k = data.draw(st.integers(-3, size + 3), label="atom")
+            slacks = data.draw(st.one_of(st.sampled_from([0.0, 0.5, -0.5, 0.75, -0.75]),
+                                         st.floats(-0.5, 0.5), st.floats(-3.0, 3.0)),
+                               label="slacks")
+            index = k + slacks * 1e-9 * max(1.0, abs(k))
+        else:
+            index = data.draw(st.floats(-3.0, size + 3.0), label="index")
+        threshold = offset + step * index
+        expect = mask_readout(offset, step, log_pmf, threshold, side)
+        assert tail._tail_from_distribution(offset, step, log_pmf, threshold, side) == expect
 
 
 class TestLatticeMemo:
-    """One lattice distribution per (channel, composition, n, state budget)."""
+    """One lattice distribution per (channel, composition, n)."""
 
     # several block lengths on one channel, so entries are shared, missed
     # and evicted in one sequence
@@ -320,8 +352,8 @@ class TestLatticeMemo:
                     n * (chn.mutual_info(ch, UNIF) - delta), side="le")
             else:
                 got = tail.pdelta(ch, delta, n)
-                fresh = tail.exact_tail(cond_spec(ch), n,
-                                        n * (chn.cond_entropy(ch) + delta))
+                fresh = tail.exact_tail_rows([(cond_spec(ch), n)],
+                                             n * (chn.cond_entropy(ch) + delta))
             assert got.kind == fresh.kind == "exact"
             assert got.value == fresh.value
             assert got.log_value == fresh.log_value
@@ -330,9 +362,9 @@ class TestLatticeMemo:
         builds = []
         power_log = tail._power_log
 
-        def counted(logp, n, max_states):
+        def counted(logp, n):
             builds.append(n)
-            return power_log(logp, n, max_states)
+            return power_log(logp, n)
 
         monkeypatch.setattr(tail, "_power_log", counted)
         tail._lattice_distribution.cache_clear()
@@ -342,11 +374,3 @@ class TestLatticeMemo:
                 ch, ach.CodeParams(200, rate_nats=rate_bits * math.log(2), t=UNIF))
             assert res.tail_kind == "exact"
         assert builds == [100]  # the noisy input's row; the other is one atom
-
-    def test_state_budget_is_part_of_the_key(self):
-        ch = chn.zchannel(0.5)
-        assert tail.ptdelta(ch, UNIF, 0.05, 200).kind == "exact"
-        # the noisy row alone needs 101 states
-        est = tail.ptdelta(ch, UNIF, 0.05, 200,
-                           tail.TailBudget(max_lattice_states=50, mc_samples=20000))
-        assert est.kind == "mc"

@@ -12,6 +12,11 @@ The commands are the benchmark's four workloads at seeds 1-3 (read
 from perfbench/workloads.py), `nep` in both families on a BSC, a Z
 channel and a BiAWGN, and the fixed-composition and central-limit rows
 on a BiAWGN and a Z channel, through both `error-vs-rate` and `compare`.
+Then single rows that those miss: the BSC and BEC closed forms at an
+exact M and at ln M, with and without --dt-variant; the Z closed form
+at --k; thm1 at a given --delta; thm1 on the Z channel, whose tail is a
+Monte-Carlo estimate; and the fixed-composition and random tie-break
+simulations.
 """
 
 import os
@@ -40,6 +45,21 @@ def commands():
                "--rates", "0.1:0.3:0.05", "--bounds", BOUNDS]
         yield ["compare", "--channel", spec, "--type", "0.5,0.5", "--eps", "1e-3",
                "--n", "200:600:200", "--bounds", BOUNDS]
+    for spec, form in (("bsc:0.11", "bscform"), ("bec:0.5", "becform")):
+        for rate in (["--k", "200"], ["--rate-bits", "0.4"]):
+            for variant in ([], ["--dt-variant"]):
+                yield ["bound", "--channel", spec, "--theorem", form, "--n", "500",
+                       *rate, *variant]
+    yield ["bound", "--channel", "z:0.5", "--type", "0.5,0.5", "--theorem", "zform",
+           "--n", "200", "--k", "40"]
+    yield ["bound", "--channel", "bec:0.5", "--theorem", "thm1", "--n", "500", "--k", "200",
+           "--delta", "0.05"]
+    yield ["compare", "--channel", "z:0.5", "--eps", "0.05", "--n", "100", "--bounds", "thm1",
+           "--mc-samples", "1000"]
+    yield ["simulate", "--channel", "z:0.5", "--ensemble", "fixedtype", "--type", "0.5,0.5",
+           "--n", "8", "--k", "2", "--trials", "5000", "--seed", "3"]
+    yield ["simulate", "--channel", "bsc:0.11", "--ensemble", "gallager", "--n", "12",
+           "--k", "3", "--trials", "5000", "--seed", "3", "--tie-break", "random"]
 
 
 def start(src: Path, argv, cwd):
