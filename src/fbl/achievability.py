@@ -7,10 +7,12 @@ written once over it, one record per (channel, composition, n).
 `THEOREMS`, the theorem table, maps every bound name (those, the BSC,
 BEC and Z closed forms and the error-exponent baseline `ee`) to its
 ensemble, error-at-rate and rate-at-eps, and `bound_at_rate` and
-`max_rate_at_eps` are the one way into each row. Where the
-conditional-entropy statistic has a lattice, thm1's minimum over the
-deviation is exact and equals the BSC and BEC closed forms in any
-layout; its deviation is signed, so the row names the decoder it covers.
+`max_rate_at_eps` are the one way into each row. Where the statistic has
+a lattice, thm1's and thm3's minima over the deviation are exact, atom
+by atom (thm1's equals the BSC and BEC closed forms in any layout), and
+so is the largest rate that meets eps: both are read off the breakpoints
+between atoms. Their deviation is signed, so the row names the decoder
+it covers; elsewhere the deviation is searched.
 
 Rates are nats per channel use internally; the CLI converts to bits.
 Every reported error bound is clamped to [0, 1]; the pre-clamp tail and
@@ -54,8 +56,8 @@ class CodeParams:
     def __post_init__(self):
         if (self.k is None) == (self.rate_nats is None):
             raise ValueError("give exactly one of k or rate_nats")
-        if self.rate is not None and self.rate <= 0:
-            raise ValueError("rate must be positive")
+        if not 0 < self.rate < math.inf:  # refuses nan too
+            raise ValueError(f"rate must be finite and positive, got {self.rate}")
 
     @property
     def rate(self) -> float:
@@ -175,83 +177,93 @@ def thm3_bound(ch, cp: CodeParams, delta: float,
     return _tail_union(_ensemble(ch, cp.t, cp.n), cp.rate, delta, budget)
 
 
-def _delta_ceiling(ens: Ensemble, rate) -> float:
-    """Largest deviation the search tries: the sigma rule, or 0.999 delta* on a
-    discrete channel (capped by the sigma rule for the parity-check ensemble)."""
+def _delta_grid(ens: Ensemble, rate):
+    """Log grid of deviations up to the sigma rule, or 0.999 delta* on a discrete
+    channel (capped by the sigma rule for the parity-check ensemble)."""
     fam = ens.family()
     hi = max(ens.capacity - rate, 0.0) + max(0.1, 2.0 * math.sqrt(fam.sigma2))
+    if isinstance(ens.ch, chn.DiscreteChannel):
+        star = 0.999 * fam.delta_star()
+        hi = min(hi, star) if ens.t is None else star
+    return np.geomspace(1e-6, hi, 64)
+
+
+@lru_cache(maxsize=4)  # as the lattice distributions it reads, one per key
+def _breakpoints(ens: Ensemble):
+    """(ln T_j, ln W_j, delta_j) per gap j between atoms of the n-letter
+    statistic, or None where it has no lattice within budget.
+
+    Tail + union at any threshold in gap j is at least f0 T_j + M W_j, and
+    reaches (thm1) or tends to (thm3) it at delta_j. So its minimum over
+    delta is min_j f0 T_j + M W_j; the largest M meeting eps, max_j
+    (eps - f0 T_j) / W_j.
+
+    thm1, s_{j-1} <= thr < s_j: the jar of y holds the x with
+    S = -ln p(x|y) <= thr; the sent word misses it w.p. f0 P(S >= s_j)
+    (f0 the message-puncturing factor). Under uniform input
+    p(y) = p(x,y) e^S, so the jar's other words number
+    E[(e^S - 1) 1{S <= thr}] on average (the paper bounds |jar| by e^thr):
+    at most e^s per atom s > 0, none at s = 0, where p(x^n|y^n) = 1. Each
+    is a codeword w.p. 2^-n: W_j = 2^-n E[e^S 1{0 < S < s_j}], whose
+    minimum the BSC and BEC closed forms compute (the BEC's from t = 1).
+    delta_j puts n (H + delta) midway between the atoms.
+
+    thm3, d_{j-1} <= thr < d_j: P(D <= thr) = T_j = P(D < d_j) and the
+    union term M e^(-thr + defect) falls towards M W_j = M e^(-d_j + defect),
+    an infimum of bounds and so a bound (past the last atom T = 1: no gap,
+    so a row whose bound is 1 still names a decoder that can succeed).
+    delta_j puts n (I - delta) below d_j by 1e-7 of its distance from the
+    lowest atom (at least 1e-7 of a step), 100 times the tail readout's
+    slack, so thm3_bound at delta_j has the row's tail term.
+    """
     if not isinstance(ens.ch, chn.DiscreteChannel):
-        return hi
-    star = 0.999 * fam.delta_star()
-    return min(hi, star) if ens.t is None else star
+        return None
+    try:
+        offset, step, log_pmf, centre = tail._lattice_distribution(ens.ch, ens.t, ens.n)
+    except tail.LatticeInfeasibleError:
+        return None
+    live, gap, n = log_pmf > -np.inf, step or 1.0, ens.n
+    atoms, log_p = offset + step * np.flatnonzero(live), log_pmf[live]
+    if ens.t is None:  # T_0 = 1 exactly, whatever the sums' rounding
+        log_tail = np.r_[0.0, np.logaddexp.accumulate(log_p[::-1])[-2::-1], -np.inf]
+        charged = np.where(atoms > step * 1e-9, log_p + atoms, -np.inf)
+        edges = np.r_[atoms[0] - gap, atoms, atoms[-1] + gap]
+        return (log_tail, np.r_[-np.inf, np.logaddexp.accumulate(charged)] - n * LN2,
+                0.5 * (edges[:-1] + edges[1:]) / n - centre)
+    thr = atoms - 1e-7 * np.maximum(gap, atoms - offset)
+    log_tail = np.r_[-np.inf, np.logaddexp.accumulate(log_p)[:-1]]
+    return log_tail, ens.defect - atoms, centre - thr / n
 
 
 def _optimized(ens: Ensemble, bound, cp: CodeParams, budget) -> BoundResult:
-    """bound(ch, cp, delta) minimised over delta: log grid, then golden section.
-
-    bound is the public thm1_bound or thm3_bound, called once per delta.
-    """
-    def objective(d):
-        return bound(ens.ch, cp, d, budget).error_ub
-
-    grid = np.geomspace(1e-6, _delta_ceiling(ens, cp.rate), 64)
-    return bound(ens.ch, cp, golden_min(objective, grid, 60)[0], budget)
+    """bound(ch, cp, delta) minimised over delta. On a lattice: the smallest
+    f0 T_j + M W_j (ties, to 1e-12 relative, to the lowest threshold); else
+    a log grid and golden section, calling the public bound once per delta."""
+    bp = _breakpoints(ens)
+    if bp is None:
+        delta, _ = golden_min(lambda d: bound(ens.ch, cp, d, budget).error_ub,
+                              _delta_grid(ens, cp.rate), 60)
+        return bound(ens.ch, cp, delta, budget)
+    log_tail, log_union = math.log(ens.f0) + bp[0], cp.log_m + bp[1]
+    total = np.logaddexp(log_tail, log_union)
+    j = int(np.argmax(total <= total.min() + 1e-12))
+    tail_term, union = float(np.exp(log_tail[j])), _exp(log_union[j])
+    return BoundResult(theorem=ens.names[0], n=cp.n, rate_nats=cp.rate,
+                       error_ub=min(1.0, tail_term + union), delta=float(bp[2][j]),
+                       tail_kind="exact", components=(tail_term, union))
 
 
 def thm1_optimized(ch, cp: CodeParams,
                    budget: tail.TailBudget | None = None) -> BoundResult:
-    """thm1_bound minimized over delta: read off the memoised distribution of
-    S = -ln p(X^n|Y^n) where S has a lattice, else searched (grid, golden section)."""
-    ens = _ensemble(ch, None, cp.n)
-    if isinstance(ch, chn.DiscreteChannel):
-        try:
-            return _lattice_min_form(ens, cp, tail._lattice_distribution(ch, None, cp.n))
-        except tail.LatticeInfeasibleError:
-            pass
-    return _optimized(ens, thm1_bound, cp, budget)
-
-
-def _lattice_min_form(ens: Ensemble, cp: CodeParams, dist) -> BoundResult:
-    """sum over the atoms s > 0 of S of P(S=s) min(f0, M 2^-n e^s), at its breakpoint.
-
-    The jar of y holds the words x with -ln p(x|y) <= thr. Under uniform
-    input p(y) = p(x,y) e^S, so E_Y |jar(Y)| = E[e^S 1{S <= thr}] (the
-    paper bounds |jar| by e^thr). An error needs the sent word outside the
-    jar, with probability at most f0 P(S > thr) (f0 the message-puncturing
-    factor), or a competitor inside it. The jar's other words number
-    |jar(y)| - P(S <= thr | y) on average over x ~ p(.|y), so
-    E[(e^S - 1) 1{S <= thr}] in all: at most e^s per atom s > 0, none at
-    s = 0, where p(x^n|y^n) = 1 and the jar holds the sent word alone.
-    Each is a codeword with probability 2^-n, so
-        error <= f0 P(S > thr) + M 2^-n E[e^S 1{0 < S <= thr}].
-    The union weight M 2^-n e^s grows with s, so the minimum over thr puts
-    every atom on its cheaper side: the sum above, which the BSC and BEC
-    closed forms compute (the BEC's from t = 1). Charging e^s - 1 at every
-    atom would be tighter still.
-
-    The breakpoint is the last atom whose union weight is below f0 (ties,
-    to 1e-9 relative, go to the tail); delta puts n (H + delta) midway to
-    the next atom, so thm1_bound at the row's delta has the row's tail
-    term. It is negative when that midpoint lies below n H.
-    """
-    offset, step, log_pmf, centre = dist
-    live = log_pmf > -np.inf
-    s = offset + step * np.flatnonzero(live)
-    log_p = log_pmf[live]
-    log_union = np.where(s > step * 1e-9, cp.log_m - cp.n * LN2 + s, -np.inf)
-    j = int(np.count_nonzero(log_union < math.log(ens.f0) - 1e-9))  # union side
-    tail_term = ens.f0 * float(np.exp(logsumexp(log_p[j:])))
-    union_term = float(np.exp(logsumexp(log_p[:j] + log_union[:j])))
-    edges = np.concatenate(([s[0] - step], s, [s[-1] + step]))
-    return BoundResult(theorem="thm1", n=cp.n, rate_nats=cp.rate,
-                       error_ub=min(1.0, tail_term + union_term),
-                       delta=0.5 * (edges[j] + edges[j + 1]) / cp.n - centre,
-                       tail_kind="exact", components=(tail_term, union_term))
+    """thm1_bound minimised over delta (see _optimized)."""
+    return _optimized(_ensemble(ch, None, cp.n), thm1_bound, cp, budget)
 
 
 def thm3_optimized(ch, cp: CodeParams,
                    budget: tail.TailBudget | None = None) -> BoundResult:
-    """thm3_bound minimized over delta (coarse grid plus golden section)."""
+    """thm3_bound minimised over delta (see _optimized)."""
+    if cp.t is None:
+        raise ValueError("fixed-composition bound needs CodeParams.t")
     return _optimized(_ensemble(ch, cp.t, cp.n), thm3_bound, cp, budget)
 
 
@@ -285,15 +297,6 @@ def _resolve_log_m(M, log_m, dt_variant: bool) -> float:
     return log_m1 - LN2
 
 
-def _bsc_min_form(p, n, log_m) -> float:
-    w = np.arange(n + 1)
-    log_c = gammaln(n + 1) - gammaln(w + 1) - gammaln(n - w + 1)
-    log_like = w * math.log(p) + (n - w) * math.log(1 - p)
-    log_union = log_m - n * LN2
-    terms = log_c + np.minimum(log_like, log_union)
-    return min(1.0, float(np.exp(logsumexp(terms))))
-
-
 def bsc_closed_form(p: float, n: int, M=None, dt_variant: bool = False,
                     log_m: float | None = None) -> float:
     """Optimized-deviation bound on the BSC: sum_w C(n,w) min{p^w q^(n-w), 2^-n M}.
@@ -303,16 +306,11 @@ def bsc_closed_form(p: float, n: int, M=None, dt_variant: bool = False,
     """
     if not 0 < p < 0.5:
         raise ValueError("BSC closed form needs p in (0, 0.5)")
-    return _bsc_min_form(p, n, _resolve_log_m(M, log_m, dt_variant))
-
-
-def _bec_min_form(p, n, log_m, from_zero: bool = False) -> float:
-    t = np.arange(0 if from_zero else 1, n + 1)
-    log_c = gammaln(n + 1) - gammaln(t + 1) - gammaln(n - t + 1)
-    log_like = t * math.log(p) + (n - t) * math.log(1 - p)
-    log2_m = log_m / LN2
-    exponent = -LN2 * np.maximum(n - t - log2_m, 0.0)
-    return min(1.0, float(np.exp(logsumexp(log_c + log_like + exponent))))
+    log_union = _resolve_log_m(M, log_m, dt_variant) - n * LN2
+    w = np.arange(n + 1)
+    log_c = gammaln(n + 1) - gammaln(w + 1) - gammaln(n - w + 1)
+    log_like = w * math.log(p) + (n - w) * math.log(1 - p)
+    return min(1.0, float(np.exp(logsumexp(log_c + np.minimum(log_like, log_union)))))
 
 
 def bec_closed_form(p: float, n: int, M=None, dt_variant: bool = False,
@@ -324,8 +322,12 @@ def bec_closed_form(p: float, n: int, M=None, dt_variant: bool = False,
     """
     if not 0 < p < 1:
         raise ValueError("BEC closed form needs p in (0, 1)")
-    return _bec_min_form(p, n, _resolve_log_m(M, log_m, dt_variant),
-                         from_zero=dt_variant)
+    log2_m = _resolve_log_m(M, log_m, dt_variant) / LN2
+    t = np.arange(0 if dt_variant else 1, n + 1)
+    log_c = gammaln(n + 1) - gammaln(t + 1) - gammaln(n - t + 1)
+    log_like = t * math.log(p) + (n - t) * math.log(1 - p)
+    exponent = -LN2 * np.maximum(n - t - log2_m, 0.0)
+    return min(1.0, float(np.exp(logsumexp(log_c + log_like + exponent))))
 
 
 def zchannel_closed_form(p: float, t: chn.InputType, n: int, M=None,
@@ -529,18 +531,6 @@ def _bisect(ok, good, bad, iters, mid):
     return good
 
 
-def _bisect_rate(err_of_rate, eps, lo, hi):
-    """Largest rate, up to 10 nats, with err_of_rate(rate) <= eps; err is nondecreasing."""
-    if err_of_rate(lo) > eps:
-        raise InfeasibleRateError(
-            f"error target {eps} unreachable even at rate {lo}")
-    while err_of_rate(hi) <= eps:
-        if hi * 1.5 > 10.0:
-            return hi
-        hi *= 1.5
-    return _bisect(lambda r: err_of_rate(r) <= eps, lo, hi, 50, lambda g, b: 0.5 * (g + b))
-
-
 def _tail_union_at_rate(ch, t, n, rate, budget=None, delta=None, **_):
     """thm1 (t None) or thm3 at a rate: minimised over delta, or at the given delta."""
     cp = CodeParams(n, rate_nats=rate, t=t)
@@ -553,14 +543,30 @@ def _tail_union_at_rate(ch, t, n, rate, budget=None, delta=None, **_):
 # and the capacity and variance of the row's information statistic.
 
 def _tail_union_rate_at_eps(ch, t, n, eps, budget):
+    """The at-rate row, stepped down by doubling ulps until error_ub <= eps, at
+    the largest rate meeting eps: max_j ln((eps - f0 T_j) / W_j) / n on a
+    lattice (capped at 10 nats: W_j = 0 takes any M), else the maximum of C -
+    delta + (ln(eps - f0 T(delta)) - defect)/n, searched on the widest grid."""
     ens = _ensemble(ch, t, n)
+    bp = _breakpoints(ens)
+    if bp is not None:
+        room = eps - ens.f0 * np.exp(bp[0])
+        ok = room > 0
+        rate = min(float(np.max(np.log(room[ok]) - bp[1][ok], initial=-np.inf)) / n, 10.0)
+    else:
+        def neg_rate(d):
+            room = eps - ens.f0 * ens.tail(d, budget).pessimistic
+            return math.inf if room <= 0 else d - ens.capacity - (math.log(room) - ens.defect) / n
 
-    def err(rate):
-        return _tail_union_at_rate(ch, t, n, rate, budget).error_ub
-
-    rate = _bisect_rate(err, eps, 1e-9, max(ens.capacity, 1e-3))
-    return (_tail_union_at_rate(ch, t, n, rate, budget), ens.capacity,
-            ens.family().sigma2)
+        rate = -float(golden_min(neg_rate, _delta_grid(ens, 0.0), 60)[1])
+    ulps = 1
+    while rate > 0:
+        res = _tail_union_at_rate(ch, t, n, rate, budget)
+        if res.error_ub <= eps:
+            return res, ens.capacity, ens.family().sigma2
+        rate -= ulps * math.ulp(rate)
+        ulps *= 2
+    raise InfeasibleRateError(f"no positive rate meets {eps} at n={n}")
 
 
 def _tilted_rate_at_eps(ch, t, n, eps, budget):
@@ -724,6 +730,8 @@ def bound_at_rate(name: str, ch, n: int, rate_nats: float | None,
     M = 2^k) and dt_variant.
     """
     th, t = _lookup(name, ch, t)
+    if rate_nats is not None:
+        CodeParams(n, rate_nats=rate_nats)  # every row's rate passes its check
     return th.at_rate(ch, t, n, rate_nats, budget=budget, **options)
 
 

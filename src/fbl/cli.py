@@ -75,34 +75,30 @@ def parse_type(spec: str) -> chn.InputType:
     return chn.InputType(tuple(Fraction(tok) for tok in spec.split(",")))
 
 
-def parse_grid(spec: str):
-    """Integer grid 'start:stop:step' (inclusive of stop when hit) or 'a,b,c'."""
-    if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise UsageError(f"grid must be start:stop:step, got {spec!r}")
-        start, stop, step = (int(p) for p in parts)
-        if step <= 0 or stop < start:
-            raise UsageError(f"bad grid {spec!r}")
-        return list(range(start, stop + 1, step))
-    return [int(tok) for tok in spec.split(",")]
+def finite(text: str) -> float:
+    """A float that is neither nan nor infinite (the type of every float flag)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise UsageError(f"not a finite number: {text!r}")
+    return value
 
 
-def parse_float_grid(spec: str):
-    if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise UsageError(f"grid must be start:stop:step, got {spec!r}")
-        start, stop, step = (float(p) for p in parts)
-        if step <= 0 or stop < start:
-            raise UsageError(f"bad grid {spec!r}")
-        out = []
-        x = start
-        while x <= stop + 1e-12:
-            out.append(round(x, 12))
-            x += step
-        return out
-    return [float(tok) for tok in spec.split(",")]
+def parse_grid(spec: str, kind=int):
+    """Grid 'start:stop:step' (inclusive of stop when hit) or 'a,b,c' of
+    kind: int, or finite for floats."""
+    if ":" not in spec:
+        return [kind(tok) for tok in spec.split(",")]
+    parts = spec.split(":")
+    if len(parts) != 3:
+        raise UsageError(f"grid must be start:stop:step, got {spec!r}")
+    start, stop, step = (kind(p) for p in parts)
+    if step <= 0 or stop < start:
+        raise UsageError(f"bad grid {spec!r}")
+    out, x = [], start
+    while x <= stop + 1e-12:
+        out.append(round(x, 12))
+        x += step
+    return out
 
 
 def _fmt(x) -> str:
@@ -237,7 +233,7 @@ def cmd_rate_vs_n(args):
 def cmd_error_vs_rate(args):
     bounds = args.bounds.split(",")
     ch, t = _request(args, bounds)
-    rates_bits = parse_float_grid(args.rates)
+    rates_bits = parse_grid(args.rates, finite)
     return _write_curve(
         [(b, args.n, rb * LN2) for b in bounds for rb in rates_bits],
         lambda b, n, rate: _eval_bound(ch, args, t, b, n, rate),
@@ -252,7 +248,7 @@ def cmd_nep(args):
     fam = (nep.rel_entropy_family(ch, t) if args.family == "rel"
            else nep.cond_entropy_family(ch))
     budget = tail.TailBudget(mc_samples=args.mc_samples, seed=args.seed)
-    deltas = parse_float_grid(args.delta)
+    deltas = parse_grid(args.delta, finite)
 
     def eval_point(d):
         sandwich = nep.tail_bounds(fam, d, args.n)
@@ -306,12 +302,13 @@ def _add_common(sp):
                     help="input composition, e.g. 0.5,0.5 or 1/3,2/3")
 
 
-def _add_rate_flags(sp):
-    sp.add_argument("--k", type=int, default=None, help="information bits")
-    sp.add_argument("--rate-bits", type=float, default=None)
-    sp.add_argument("--rate-nats", type=float, default=None)
-    sp.add_argument("--rate-rel-capacity", type=float, default=None,
-                    help="rate as a multiple of the relevant capacity")
+def _add_row_flags(sp):
+    """The options of a table row (see achievability.bound_at_rate)."""
+    sp.add_argument("--delta", type=finite, default=None)
+    sp.add_argument("--c", type=finite, default=None)
+    sp.add_argument("--dt-variant", action="store_true")
+    sp.add_argument("--analytic-tail", action="store_true",
+                    help="skip the exact-tail refinement of thm2p2 and thm4p2")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -328,21 +325,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bound", help="evaluate one bound point")
     _add_common(sp)
-    _add_rate_flags(sp)
+    _add_row_flags(sp)
+    sp.add_argument("--k", type=int, default=None, help="information bits")
+    sp.add_argument("--rate-bits", type=finite, default=None)
+    sp.add_argument("--rate-nats", type=finite, default=None)
+    sp.add_argument("--rate-rel-capacity", type=finite, default=None,
+                    help="rate as a multiple of the relevant capacity")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--theorem", required=True, choices=list(ach.THEOREMS))
-    sp.add_argument("--delta", type=float, default=None)
-    sp.add_argument("--c", type=float, default=None)
-    sp.add_argument("--dt-variant", action="store_true")
-    sp.add_argument("--analytic-tail", action="store_true",
-                    help="skip the exact-tail refinement of thm2p2 and thm4p2")
     sp.set_defaults(fn=cmd_bound)
 
     for name, help_text in (("rate-vs-n", "largest rate meeting --eps per n"),
                             ("compare", "same as rate-vs-n; several bounds")):
         sp = sub.add_parser(name, help=help_text)
         _add_common(sp)
-        sp.add_argument("--eps", type=float, required=True)
+        sp.add_argument("--eps", type=finite, required=True)
         sp.add_argument("--n", required=True, help="grid start:stop:step or list")
         sp.add_argument("--bounds", required=True,
                         help="comma list: " + ",".join(_bound_names(at_eps=True)))
@@ -354,10 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rates", required=True, help="bits grid start:stop:step or list")
     sp.add_argument("--bounds", required=True,
                     help="comma list: " + ",".join(_bound_names()))
-    sp.add_argument("--delta", type=float, default=None)
-    sp.add_argument("--c", type=float, default=None)
-    sp.add_argument("--dt-variant", action="store_true")
-    sp.add_argument("--analytic-tail", action="store_true")
+    _add_row_flags(sp)
     sp.set_defaults(fn=cmd_error_vs_rate)
 
     sp = sub.add_parser("nep", help="tail sandwich / central-limit diagnostics")
@@ -373,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
                     required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--delta", type=float, default=None,
+    sp.add_argument("--delta", type=finite, default=None,
                     help="decoder threshold deviation (default: optimizer)")
     sp.add_argument("--trials", type=int, default=100000)
     sp.add_argument("--tie-break", choices=["pessimistic", "random"],

@@ -15,9 +15,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import erfc, erfcinv, erfcx
 
-LOG_ZERO = float("-inf")
 _SQRT2 = math.sqrt(2.0)
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _SOLVE_XTOL = 1e-14
 _SOLVE_MAX_ITER = 400

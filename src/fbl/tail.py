@@ -299,6 +299,7 @@ def lattice_tail(ch: chn.DiscreteChannel, t: chn.InputType | None, delta: float,
 
 def _discrete_tail(ch, t, delta, n, budget):
     """The exact lattice tail, else a Monte-Carlo estimate of the same event."""
+    budget = budget or TailBudget()
     try:
         return lattice_tail(ch, t, delta, n)
     except LatticeInfeasibleError:
@@ -316,7 +317,6 @@ def pdelta(ch, delta: float, n: int,
     and n, and reused for every delta), then Monte Carlo,
     then the tilted-measure sandwich for continuous-output channels.
     """
-    budget = budget or TailBudget()
     if isinstance(ch, chn.BiAwgn):
         return nep.tail_bounds(nep.cond_entropy_family(ch), delta, n)
     return _discrete_tail(ch, None, delta, n, budget)
@@ -331,7 +331,6 @@ def ptdelta(ch, t: chn.InputType, delta: float, n: int,
     The same dispatch as pdelta; the lattice distribution is built once
     per (channel, t, n) and reused for every delta.
     """
-    budget = budget or TailBudget()
     if isinstance(ch, chn.BiAwgn):
         return nep.tail_bounds(nep.rel_entropy_family(ch, t), delta, n)
     return _discrete_tail(ch, t, delta, n, budget)

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -27,6 +28,14 @@ class TestCodeParams:
             ach.CodeParams(100, k=10, rate_nats=0.1)
         with pytest.raises(ValueError):
             ach.CodeParams(100)
+
+    @pytest.mark.parametrize("rate", [-0.1, 0.0, math.nan, math.inf])
+    @pytest.mark.parametrize("name, ch", [
+        ("bscform", chn.bsc(0.11)), ("becform", chn.bec(0.5)),
+        ("zform", chn.zchannel(0.5)), ("thm1", chn.bsc(0.11))])
+    def test_every_row_refuses_a_rate_not_finite_and_positive(self, name, ch, rate):
+        with pytest.raises(ValueError, match="finite and positive"):
+            ach.bound_at_rate(name, ch, 100, rate, t=UNIF if name == "zform" else None)
 
 
 class TestThm1Bound:
@@ -243,6 +252,134 @@ class TestThm1LatticeMinimum:
         res = ach.thm1_optimized(ch, cp, budget)
         assert res == ach.thm1_bound(ch, cp, res.delta, budget)
         assert res.tail_kind == "mc"
+
+
+def _merge(pairs):
+    """(atoms, masses) of (value, mass) pairs, equal values (to 1e-9) merged."""
+    atoms, masses = [], []
+    for value, mass in sorted(pairs):
+        if atoms and value - atoms[-1] <= 1e-9 * max(1.0, abs(value)):
+            masses[-1] += mass
+        else:
+            atoms.append(value)
+            masses.append(mass)
+    return atoms, masses
+
+
+def _brute_law(matrix, t, n):
+    """Atoms and masses of thm1's S = -ln p(X^n|Y^n) under uniform input (t
+    None) or of thm3's D = sum ln p(y|x)/q_t(y), each input's compositions
+    enumerated in turn."""
+    w = np.asarray(matrix, dtype=float)
+    if t is None:
+        post = w / w.sum(axis=0)
+        rows = [(_merge([(-math.log(post[x, y]), w[x, y] / len(w))
+                         for x, y in zip(*np.nonzero(w))]), n)]
+    else:
+        q = t.as_floats() @ w
+        rows = [(_merge([(math.log(w[x, y] / q[y]), w[x, y]) for y in np.flatnonzero(w[x])]), c)
+                for x, c in enumerate(t.counts(n)) if c > 0]
+    law = [(0.0, 1.0)]
+    for (values, probs), count in rows:
+        row = []
+        for combo in combinations_with_replacement(range(len(values)), count):
+            counts = [combo.count(i) for i in range(len(values))]
+            row.append((sum(c * v for c, v in zip(counts, values)), math.exp(
+                math.lgamma(count + 1) - sum(math.lgamma(c + 1) for c in counts)
+                + sum(c * math.log(p) for c, p in zip(counts, probs)))))
+        law = [(a + b, pa * pb) for a, pa in law for b, pb in row]
+    return _merge(law)
+
+
+def _type_defect(t, n):
+    return n * t.entropy() - (math.lgamma(n + 1)
+                              - sum(math.lgamma(c + 1) for c in t.counts(n)))
+
+
+class TestBreakpointReadout:
+    """On a lattice, thm3's optimum and the thm1/thm3 rates at eps equal
+    scans over the breakpoints of a brute-force law: thresholds just below
+    each atom (thm3) or between atoms (thm1), on both sides of the mean."""
+
+    @staticmethod
+    def _case(data, name):
+        kinds = ["golden", "bsc", "bec"] + (["z"] if name == "thm3" else [])
+        kind = data.draw(st.sampled_from(kinds), label="kind")
+        if kind == "golden":
+            i = data.draw(st.integers(1, 3), label="i")
+            matrix = _golden_lattice_channel(i, data.draw(st.integers(i + 1, 4), label="j"))
+        else:
+            p = data.draw(st.floats(0.02, 0.45 if kind == "bsc" else 0.95), label="p")
+            matrix = {"bsc": chn.bsc, "bec": chn.bec, "z": chn.zchannel}[kind](p).matrix
+        # Z-type rows keep the relative-entropy lattice for any composition
+        a = (data.draw(st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]),
+                       label="t0") if kind in ("z", "golden") else Fraction(1, 2))
+        n = 4 * data.draw(st.integers(2, 25), label="n/4")
+        return chn.DiscreteChannel(matrix), chn.InputType((a, 1 - a)), n
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_thm3_optimum_is_the_breakpoint_minimum(self, data):
+        ch, t, n = self._case(data, "thm3")
+        rate = data.draw(st.floats(0.05, 1.3), label="frac") * chn.mutual_info(ch, t)
+        cp = ach.CodeParams(n, rate_nats=rate, t=t)
+        res = ach.thm3_optimized(ch, cp)
+        defect, below, best = _type_defect(t, n), 0.0, 1.0
+        for d, p in zip(*_brute_law(ch.matrix, t, n)):
+            best = min(best, below + math.exp(min(700.0, n * rate - d + defect)))
+            below += p
+        assert res.tail_kind == "exact"
+        assert res.error_ub == pytest.approx(best, rel=1e-12)
+        at_delta = ach.thm3_bound(ch, cp, res.delta)
+        assert at_delta.components[0] == pytest.approx(res.components[0], rel=1e-12,
+                                                       abs=1e-300)
+        for delta in np.linspace(-0.5, 1.0, 25):
+            assert res.error_ub <= ach.thm3_bound(ch, cp, delta).error_ub * (1 + 1e-12)
+
+    @pytest.mark.parametrize("name", ["thm1", "thm3"])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_rate_at_eps_is_the_breakpoint_maximum(self, name, data):
+        ch, t, n = self._case(data, name)
+        eps = data.draw(st.floats(1e-3, 0.6), label="eps")
+        t = t if name == "thm3" else None
+        atoms, masses = _brute_law(ch.matrix, t, n)
+        rates = []
+        if t is None:
+            f0 = 1.0 if chn.is_symmetric(ch) else 1.0 / (1.0 - 2.0 ** -n)
+            tails = np.cumsum(masses[::-1])[::-1].tolist() + [0.0]  # P(S >= s_j)
+            weight = 0.0  # 2^-n E[e^S 1{0 < S < s_j}]
+            for j, tail_j in enumerate(tails):
+                if f0 * tail_j < eps:
+                    rates.append(10.0 if weight == 0 else
+                                 (math.log(eps - f0 * tail_j) - math.log(weight)) / n)
+                if j < len(atoms) and atoms[j] > 1e-9:
+                    weight += masses[j] * math.exp(atoms[j] - n * LN2)
+        else:
+            defect, below = _type_defect(t, n), 0.0
+            for d, p in zip(atoms, masses):
+                if below < eps:
+                    rates.append((math.log(eps - below) + d - defect) / n)
+                below += p
+        expect = min(max(rates), 10.0) if rates else -math.inf
+        assume(abs(expect) > 1e-9)
+        if expect < 0:
+            with pytest.raises(ach.InfeasibleRateError):
+                ach.max_rate_at_eps(ch, n, eps, name, t=t)
+            return
+        res = ach.max_rate_at_eps(ch, n, eps, name, t=t)
+        assert res.rate_nats == pytest.approx(expect, rel=1e-10)
+        assert res.error_ub <= eps
+
+    def test_minimum_above_the_mean(self):
+        # the infimum sits at a threshold above n I(t;P): delta <= 0, which
+        # a search over delta > 0 never tried (it reported 1.0 here)
+        ch, n = chn.zchannel(0.5), 100
+        cp = ach.CodeParams(n, rate_nats=0.856 * chn.mutual_info(ch, UNIF), t=UNIF)
+        res = ach.thm3_optimized(ch, cp)
+        assert res.delta <= 0
+        assert res.error_ub == pytest.approx(0.72655, abs=1e-5)
+        assert res.error_ub <= ach.thm3_bound(ch, cp, res.delta).error_ub
 
 
 class TestEnsembleRecord:
@@ -560,7 +697,7 @@ class TestMaxRateAtEps:
         for method, eps in (("thm1", 1e-2), ("thm2p1", 1e-2), ("thm2p2", 5e-2),
                             ("ee", 1e-3)):
             res = ach.max_rate_at_eps(ch, 1000, eps, method)
-            assert res.error_ub <= eps * (1 + 1e-6)
+            assert res.error_ub <= (eps if method == "thm1" else eps * (1 + 1e-6))
 
     @pytest.mark.parametrize("eps", [0.1, 0.2])
     @pytest.mark.parametrize("ch, method, t", [
@@ -586,12 +723,12 @@ class TestMaxRateAtEps:
         with pytest.raises(ach.InfeasibleRateError):
             ach.max_rate_at_eps(ch, 1000, 1e-6, "thm2p2")
 
-    def test_rate_bisection_returns_a_checked_rate(self):
-        # the bracket grows by 1.5 from 1 nat: 7.59 meets eps, 11.39 would not
-        def err(rate):
-            return 0.0 if rate <= 8.0 else 1.0
-
-        assert err(ach._bisect_rate(err, 0.5, 1e-9, 1.0)) <= 0.5
+    def test_off_lattice_inversion(self):
+        # the BiAWGN tail is the tilted sandwich: the rate is searched over
+        # delta, then checked through the at-rate search
+        res = ach.max_rate_at_eps(chn.BiAwgn(1.0), 200, 1e-3, "thm1")
+        assert res.rate_nats == pytest.approx(0.141572505111, rel=1e-9)
+        assert res.error_ub <= 1e-3
 
     def test_ee_matches_exponent_inversion(self):
         ch = chn.bsc(0.11)
@@ -699,9 +836,10 @@ class TestTheoremTable:
             res = ach.max_rate_at_eps(ch, n, eps, name, t=t)
         except ach.InfeasibleRateError:
             assume(False)
-        assert res.rate_nats > 0 and res.error_ub <= eps * (1 + 1e-6)
+        limit = eps if name in ("thm1", "thm3") else eps * (1 + 1e-6)
+        assert res.rate_nats > 0 and res.error_ub <= limit
         again = ach.bound_at_rate(name, ch, n, res.rate_nats, t=t)
-        assert 0.0 <= again.error_ub <= eps * (1 + 1e-6)
+        assert 0.0 <= again.error_ub <= limit
 
     @pytest.mark.parametrize("name", ["thm2p1", "thm4p1"])
     @settings(max_examples=15, deadline=None)

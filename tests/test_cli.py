@@ -53,7 +53,7 @@ class TestParsing:
     def test_grids(self):
         assert cli.parse_grid("200:600:200") == [200, 400, 600]
         assert cli.parse_grid("5,7") == [5, 7]
-        assert cli.parse_float_grid("0.1:0.3:0.1") == pytest.approx([0.1, 0.2, 0.3])
+        assert cli.parse_grid("0.1:0.3:0.1", cli.finite) == pytest.approx([0.1, 0.2, 0.3])
 
 
 class TestExitCodes:
@@ -77,6 +77,37 @@ class TestExitCodes:
         r = run_cli(["bound", "--channel", "bsc:0.11", "--n", "100",
                      "--theorem", "thm1"])
         assert r.returncode == 2
+
+    @pytest.mark.parametrize("theorem, channel", [
+        ("bscform", "bsc:0.11"), ("becform", "bec:0.5"), ("zform", "z:0.5"),
+        ("thm1", "bsc:0.11")])
+    def test_negative_rate_is_2_with_one_line(self, theorem, channel, capsys):
+        code = cli.main(["bound", "--channel", channel, "--type", "0.5,0.5", "--n", "100",
+                         "--theorem", theorem, "--rate-nats", "-0.1"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.splitlines() == ["error: rate must be finite and positive, got -0.1"]
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("argv", [
+        ["bound", "--theorem", "thm1", "--k", "30", "--delta"],
+        ["bound", "--theorem", "thm2p2", "--c"],
+        ["bound", "--theorem", "thm1", "--rate-bits"],
+        ["bound", "--theorem", "thm1", "--rate-nats"],
+        ["bound", "--theorem", "thm1", "--rate-rel-capacity"],
+        ["compare", "--bounds", "thm1", "--n", "100", "--eps"],
+        ["error-vs-rate", "--bounds", "thm1", "--rates", "0.2", "--delta"],
+        ["error-vs-rate", "--bounds", "thm2p2", "--rates", "0.2", "--c"],
+        ["error-vs-rate", "--bounds", "thm1", "--rates"],
+        ["nep", "--delta"],
+        ["simulate", "--ensemble", "gallager", "--k", "3", "--delta"],
+    ], ids=lambda argv: f"{argv[0]}{argv[-1]}")
+    def test_non_finite_float_is_2_with_one_line(self, argv, value, capsys):
+        extra = [] if "--n" in argv else ["--n", "100"]
+        code = cli.main([*argv, value, "--channel", "bsc:0.11", *extra])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and value in err
 
 
 class TestBoundCommand:
