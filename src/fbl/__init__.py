@@ -1,5 +1,5 @@
 """Finite-blocklength achievability bounds for discrete-input channels,
-with exact/Monte-Carlo tail oracles and a desk-scale ensemble simulator.
+with exact tail oracles and a desk-scale ensemble simulator.
 """
 
 __version__ = "0.1.0"

@@ -7,12 +7,12 @@ written once over it, one record per (channel, composition, n).
 `THEOREMS`, the theorem table, maps every bound name (those, the BSC,
 BEC and Z closed forms and the error-exponent baseline `ee`) to its
 ensemble, error-at-rate and rate-at-eps, and `bound_at_rate` and
-`max_rate_at_eps` are the one way into each row. Where the statistic has
-a lattice, thm1's and thm3's minima over the deviation are exact, atom
-by atom (thm1's equals the BSC and BEC closed forms in any layout), and
-so is the largest rate that meets eps: both are read off the breakpoints
-between atoms. Their deviation is signed, so the row names the decoder
-it covers; elsewhere the deviation is searched.
+`max_rate_at_eps` are the one way into each row. Within the budget of
+the statistic's exact law, thm1's and thm3's minima over the deviation
+are exact, atom by atom (thm1's equals the BSC and BEC closed forms in
+any layout), and so is the largest rate that meets eps: both are read
+off the breakpoints between atoms. Their deviation is signed, so the row
+names the decoder it covers; elsewhere the deviation is searched.
 
 Rates are nats per channel use internally; the CLI converts to bits.
 Every reported error bound is clamped to [0, 1]; the pre-clamp tail and
@@ -101,10 +101,10 @@ class Ensemble:
 
     family() is the tilt family of the decoding statistic; its sigma2, m3
     and be_const are the h or d moments and the i.i.d. or non-identical
-    Berry-Esseen constant. tail(delta, budget) is tail.pdelta or
-    tail.ptdelta, or with exact_only the exact lattice path alone (which
-    raises tail.LatticeInfeasibleError). Both look the function up when
-    called, so a cached record never pins it.
+    Berry-Esseen constant. tail(delta) is tail.pdelta or tail.ptdelta,
+    or with exact_only the exact law alone (which raises
+    tail.LatticeInfeasibleError past its budget). Both look the function
+    up when called, so a cached record never pins it.
     """
     names: tuple        # (tail + union, tilted, central-limit) theorem names
     ch: object
@@ -119,12 +119,12 @@ class Ensemble:
             return nep.cond_entropy_family(self.ch)
         return nep.rel_entropy_family(self.ch, self.t)
 
-    def tail(self, delta, budget=None, exact_only=False):
+    def tail(self, delta, exact_only=False):
         if exact_only:
             return tail.lattice_tail(self.ch, self.t, delta, self.n)
         if self.t is None:
-            return tail.pdelta(self.ch, delta, self.n, budget)
-        return tail.ptdelta(self.ch, self.t, delta, self.n, budget)
+            return tail.pdelta(self.ch, delta, self.n)
+        return tail.ptdelta(self.ch, self.t, delta, self.n)
 
 
 # One record per (channel, composition, n), shared by every deviation and
@@ -144,17 +144,16 @@ def _ensemble(ch, t, n) -> Ensemble:
 # tail + union bound and its minimum over the deviation
 # ---------------------------------------------------------------------------
 
-def _tail_union(ens: Ensemble, rate, delta, budget=None,
-                exact_only=False) -> BoundResult:
+def _tail_union(ens: Ensemble, rate, delta, exact_only=False) -> BoundResult:
     """f0 P(deviation > delta) + exp(-n (C - delta - R) + defect).
 
     delta may be negative: a threshold below the statistic's mean (thm1's
-    lattice optimum can sit there) or a rate above capacity (the
-    central-limit refinement, which asks for the exact lattice tail only,
+    exact optimum can sit there) or a rate above capacity (the
+    central-limit refinement, which asks for the exact tail only,
     exact_only). The BiAWGN sandwich rejects delta <= 0 (nep.TiltRangeError).
     """
     n = ens.n
-    pd = ens.tail(delta, budget, exact_only)
+    pd = ens.tail(delta, exact_only)
     tail_term = ens.f0 * pd.pessimistic
     union = _exp(-n * (ens.capacity - delta - rate) + ens.defect)
     return BoundResult(
@@ -163,18 +162,16 @@ def _tail_union(ens: Ensemble, rate, delta, budget=None,
         delta=delta, tail_kind=pd.kind, components=(tail_term, union))
 
 
-def thm1_bound(ch, cp: CodeParams, delta: float,
-               budget: tail.TailBudget | None = None) -> BoundResult:
+def thm1_bound(ch, cp: CodeParams, delta: float) -> BoundResult:
     """Tail + union bound for the parity-check ensemble at deviation delta."""
-    return _tail_union(_ensemble(ch, None, cp.n), cp.rate, delta, budget)
+    return _tail_union(_ensemble(ch, None, cp.n), cp.rate, delta)
 
 
-def thm3_bound(ch, cp: CodeParams, delta: float,
-               budget: tail.TailBudget | None = None) -> BoundResult:
+def thm3_bound(ch, cp: CodeParams, delta: float) -> BoundResult:
     """Tail + union bound for the fixed-composition ensemble at deviation delta."""
     if cp.t is None:
         raise ValueError("fixed-composition bound needs CodeParams.t")
-    return _tail_union(_ensemble(ch, cp.t, cp.n), cp.rate, delta, budget)
+    return _tail_union(_ensemble(ch, cp.t, cp.n), cp.rate, delta)
 
 
 def _delta_grid(ens: Ensemble, rate):
@@ -188,10 +185,10 @@ def _delta_grid(ens: Ensemble, rate):
     return np.geomspace(1e-6, hi, 64)
 
 
-@lru_cache(maxsize=4)  # as the lattice distributions it reads, one per key
+@lru_cache(maxsize=4)  # as the exact laws it reads, one per key
 def _breakpoints(ens: Ensemble):
     """(ln T_j, ln W_j, delta_j) per gap j between atoms of the n-letter
-    statistic, or None where it has no lattice within budget.
+    statistic, or None where it has no exact law within budget.
 
     Tail + union at any threshold in gap j is at least f0 T_j + M W_j, and
     reaches (thm1) or tends to (thm3) it at delta_j. So its minimum over
@@ -213,37 +210,38 @@ def _breakpoints(ens: Ensemble):
     an infimum of bounds and so a bound (past the last atom T = 1: no gap,
     so a row whose bound is 1 still names a decoder that can succeed).
     delta_j puts n (I - delta) below d_j by 1e-7 of its distance from the
-    lowest atom (at least 1e-7 of a step), 100 times the tail readout's
-    slack, so thm3_bound at delta_j has the row's tail term.
+    lowest atom (at least 1e-7 of a step, or of a nat off a lattice), 100
+    times the tail readout's slack, and by at most half the gap to the
+    atom below, so thm3_bound at delta_j has the row's tail term.
     """
     if not isinstance(ens.ch, chn.DiscreteChannel):
         return None
     try:
-        offset, step, log_pmf, centre = tail._lattice_distribution(ens.ch, ens.t, ens.n)
+        law, centre = tail._lattice_distribution(ens.ch, ens.t, ens.n)
     except tail.LatticeInfeasibleError:
         return None
-    live, gap, n = log_pmf > -np.inf, step or 1.0, ens.n
-    atoms, log_p = offset + step * np.flatnonzero(live), log_pmf[live]
+    (atoms, log_p), gap, n = law.atoms(), law.step or 1.0, ens.n
     if ens.t is None:  # T_0 = 1 exactly, whatever the sums' rounding
         log_tail = np.r_[0.0, np.logaddexp.accumulate(log_p[::-1])[-2::-1], -np.inf]
-        charged = np.where(atoms > step * 1e-9, log_p + atoms, -np.inf)
+        charged = np.where(atoms > gap * 1e-9, log_p + atoms, -np.inf)
         edges = np.r_[atoms[0] - gap, atoms, atoms[-1] + gap]
         return (log_tail, np.r_[-np.inf, np.logaddexp.accumulate(charged)] - n * LN2,
                 0.5 * (edges[:-1] + edges[1:]) / n - centre)
-    thr = atoms - 1e-7 * np.maximum(gap, atoms - offset)
+    thr = atoms - np.minimum(1e-7 * np.maximum(gap, atoms - law.offset),
+                             0.5 * np.diff(atoms, prepend=-np.inf))
     log_tail = np.r_[-np.inf, np.logaddexp.accumulate(log_p)[:-1]]
     return log_tail, ens.defect - atoms, centre - thr / n
 
 
-def _optimized(ens: Ensemble, bound, cp: CodeParams, budget) -> BoundResult:
-    """bound(ch, cp, delta) minimised over delta. On a lattice: the smallest
+def _optimized(ens: Ensemble, bound, cp: CodeParams) -> BoundResult:
+    """bound(ch, cp, delta) minimised over delta. On an exact law: the smallest
     f0 T_j + M W_j (ties, to 1e-12 relative, to the lowest threshold); else
     a log grid and golden section, calling the public bound once per delta."""
     bp = _breakpoints(ens)
     if bp is None:
-        delta, _ = golden_min(lambda d: bound(ens.ch, cp, d, budget).error_ub,
+        delta, _ = golden_min(lambda d: bound(ens.ch, cp, d).error_ub,
                               _delta_grid(ens, cp.rate), 60)
-        return bound(ens.ch, cp, delta, budget)
+        return bound(ens.ch, cp, delta)
     log_tail, log_union = math.log(ens.f0) + bp[0], cp.log_m + bp[1]
     total = np.logaddexp(log_tail, log_union)
     j = int(np.argmax(total <= total.min() + 1e-12))
@@ -253,18 +251,16 @@ def _optimized(ens: Ensemble, bound, cp: CodeParams, budget) -> BoundResult:
                        tail_kind="exact", components=(tail_term, union))
 
 
-def thm1_optimized(ch, cp: CodeParams,
-                   budget: tail.TailBudget | None = None) -> BoundResult:
+def thm1_optimized(ch, cp: CodeParams) -> BoundResult:
     """thm1_bound minimised over delta (see _optimized)."""
-    return _optimized(_ensemble(ch, None, cp.n), thm1_bound, cp, budget)
+    return _optimized(_ensemble(ch, None, cp.n), thm1_bound, cp)
 
 
-def thm3_optimized(ch, cp: CodeParams,
-                   budget: tail.TailBudget | None = None) -> BoundResult:
+def thm3_optimized(ch, cp: CodeParams) -> BoundResult:
     """thm3_bound minimised over delta (see _optimized)."""
     if cp.t is None:
         raise ValueError("fixed-composition bound needs CodeParams.t")
-    return _optimized(_ensemble(ch, cp.t, cp.n), thm3_bound, cp, budget)
+    return _optimized(_ensemble(ch, cp.t, cp.n), thm3_bound, cp)
 
 
 def _ln(x) -> float:
@@ -468,9 +464,9 @@ def _clt_at_rate(ens: Ensemble, rate_nats, exact_tail=True) -> BoundResult:
     """Central-limit-form bound at a prescribed rate (possibly above capacity).
 
     Solves the rate condition for c, then reports the error from the
-    analytic form or, when the channel has an exact deviation
-    probability, from tail + union at delta = c/sqrt(n). That union term
-    is the analytic exp(-c^2/(2 sigma^2))/(sqrt(2 pi n) sigma) term, and
+    analytic form or, when the deviation sum has an exact law within
+    budget, from tail + union at delta = c/sqrt(n). That union term is
+    the analytic exp(-c^2/(2 sigma^2))/(sqrt(2 pi n) sigma) term, and
     Berry-Esseen bounds the exact tail by the rest (up to f0 - 1 times it).
     """
     c = _clt_c_for_rate(ens, rate_nats)
@@ -482,7 +478,6 @@ def _clt_at_rate(ens: Ensemble, rate_nats, exact_tail=True) -> BoundResult:
         except tail.LatticeInfeasibleError:
             return out
         exact.theorem, exact.lambda_or_c = out.theorem, c
-        exact.extras["analytic_error"] = out.error_ub
         return exact
     return out
 
@@ -531,21 +526,21 @@ def _bisect(ok, good, bad, iters, mid):
     return good
 
 
-def _tail_union_at_rate(ch, t, n, rate, budget=None, delta=None, **_):
+def _tail_union_at_rate(ch, t, n, rate, delta=None, **_):
     """thm1 (t None) or thm3 at a rate: minimised over delta, or at the given delta."""
     cp = CodeParams(n, rate_nats=rate, t=t)
     bound, optimized = ((thm1_bound, thm1_optimized) if t is None
                         else (thm3_bound, thm3_optimized))
-    return optimized(ch, cp, budget) if delta is None else bound(ch, cp, delta, budget)
+    return optimized(ch, cp) if delta is None else bound(ch, cp, delta)
 
 
 # Rate-at-eps entries return the row at its largest rate with error <= eps,
 # and the capacity and variance of the row's information statistic.
 
-def _tail_union_rate_at_eps(ch, t, n, eps, budget):
+def _tail_union_rate_at_eps(ch, t, n, eps):
     """The at-rate row, stepped down by doubling ulps until error_ub <= eps, at
-    the largest rate meeting eps: max_j ln((eps - f0 T_j) / W_j) / n on a
-    lattice (capped at 10 nats: W_j = 0 takes any M), else the maximum of C -
+    the largest rate meeting eps: max_j ln((eps - f0 T_j) / W_j) / n on an
+    exact law (capped at 10 nats: W_j = 0 takes any M), else the maximum of C -
     delta + (ln(eps - f0 T(delta)) - defect)/n, searched on the widest grid."""
     ens = _ensemble(ch, t, n)
     bp = _breakpoints(ens)
@@ -555,13 +550,13 @@ def _tail_union_rate_at_eps(ch, t, n, eps, budget):
         rate = min(float(np.max(np.log(room[ok]) - bp[1][ok], initial=-np.inf)) / n, 10.0)
     else:
         def neg_rate(d):
-            room = eps - ens.f0 * ens.tail(d, budget).pessimistic
+            room = eps - ens.f0 * ens.tail(d).pessimistic
             return math.inf if room <= 0 else d - ens.capacity - (math.log(room) - ens.defect) / n
 
         rate = -float(golden_min(neg_rate, _delta_grid(ens, 0.0), 60)[1])
     ulps = 1
     while rate > 0:
-        res = _tail_union_at_rate(ch, t, n, rate, budget)
+        res = _tail_union_at_rate(ch, t, n, rate)
         if res.error_ub <= eps:
             return res, ens.capacity, ens.family().sigma2
         rate -= ulps * math.ulp(rate)
@@ -569,7 +564,7 @@ def _tail_union_rate_at_eps(ch, t, n, eps, budget):
     raise InfeasibleRateError(f"no positive rate meets {eps} at n={n}")
 
 
-def _tilted_rate_at_eps(ch, t, n, eps, budget):
+def _tilted_rate_at_eps(ch, t, n, eps):
     ens = _ensemble(ch, t, n)
     fam = ens.family()
 
@@ -595,7 +590,7 @@ def _tilted_rate_at_eps(ch, t, n, eps, budget):
     return res, ens.capacity, fam.sigma2
 
 
-def _clt_rate_at_eps(ch, t, n, eps, budget):
+def _clt_rate_at_eps(ch, t, n, eps):
     ens = _ensemble(ch, t, n)
     fam = ens.family()
     sigma = math.sqrt(fam.sigma2)
@@ -618,7 +613,7 @@ def _clt_rate_at_eps(ch, t, n, eps, budget):
     return res, ens.capacity, fam.sigma2
 
 
-def _ee_rate_at_eps(ch, t, n, eps, budget):
+def _ee_rate_at_eps(ch, t, n, eps):
     target = -math.log(eps) / n
     if error_exponent(ch, t, 1e-9) < target:
         raise InfeasibleRateError("exponent target unreachable")
@@ -681,8 +676,8 @@ class Theorem:
 
     ensemble: "parity" (no composition), "fixed" (needs one) or "iid" (ee:
     the given input distribution, uniform by default). at_rate(ch, t, n,
-    rate, **options) is the error at a rate, at_eps(ch, t, n, eps, budget)
-    the rate-at-eps (see above; None: no inversion). parameter: the option
+    rate, **options) is the error at a rate, at_eps(ch, t, n, eps) the
+    rate-at-eps (see above; None: no inversion). parameter: the option
     ("delta" or "c") that, when given, sets the row's rate instead.
     """
     ensemble: str
@@ -720,8 +715,7 @@ def _lookup(name, ch, t):
 
 
 def bound_at_rate(name: str, ch, n: int, rate_nats: float | None,
-                  t: chn.InputType | None = None,
-                  budget: tail.TailBudget | None = None, **options) -> BoundResult:
+                  t: chn.InputType | None = None, **options) -> BoundResult:
     """Error bound of the named table row at a rate (nats).
 
     options: delta (thm1/thm3 at that deviation, not the optimum), the
@@ -732,12 +726,11 @@ def bound_at_rate(name: str, ch, n: int, rate_nats: float | None,
     th, t = _lookup(name, ch, t)
     if rate_nats is not None:
         CodeParams(n, rate_nats=rate_nats)  # every row's rate passes its check
-    return th.at_rate(ch, t, n, rate_nats, budget=budget, **options)
+    return th.at_rate(ch, t, n, rate_nats, **options)
 
 
 def max_rate_at_eps(ch, n: int, eps: float, method: str,
-                    t: chn.InputType | None = None,
-                    budget: tail.TailBudget | None = None) -> BoundResult:
+                    t: chn.InputType | None = None) -> BoundResult:
     """Largest positive rate whose bound stays below eps, per table row.
 
     Also reports the square-root-law reference rate
@@ -749,7 +742,7 @@ def max_rate_at_eps(ch, n: int, eps: float, method: str,
     th, t = _lookup(method, ch, t)
     if th.at_eps is None:
         raise ValueError(f"{method} has no rate-at-eps inversion")
-    res, cap, sigma2 = th.at_eps(ch, t, n, eps, budget)
+    res, cap, sigma2 = th.at_eps(ch, t, n, eps)
     if not res.rate_nats > 0:
         raise InfeasibleRateError(
             f"no positive rate meets {eps} at n={n} (best {res.rate_nats:.6g} nats)")

@@ -3,7 +3,7 @@
 Output is CSV only (UTF-8, comma separated, '.' decimal, header row
 always present); plotting is left to external tools. Rates are accepted
 in bits and reported in both bits and nats. Curve commands evaluate
-their grid in order, one point after another.
+their grid in order, one point after another. Only `simulate` samples.
 
 Exit codes: 0 success, 2 malformed request (single-line diagnostic on
 stderr), 3 infeasible bound request. A curve command (compare,
@@ -181,9 +181,7 @@ def _resolve_rate(args, ch, t) -> float:
 
 def _eval_bound(ch, args, t, theorem, n, rate):
     return _bound_row(ach.bound_at_rate(
-        theorem, ch, n, rate, t=t,
-        budget=tail.TailBudget(mc_samples=args.mc_samples, seed=args.seed),
-        k=getattr(args, "k", None), delta=args.delta, c=args.c,
+        theorem, ch, n, rate, t=t, k=getattr(args, "k", None), delta=args.delta, c=args.c,
         dt_variant=args.dt_variant, exact_tail=not args.analytic_tail))
 
 
@@ -221,10 +219,9 @@ def cmd_rate_vs_n(args):
     bounds = args.bounds.split(",")
     ch, t = _request(args, bounds, at_eps=True)
     grid = parse_grid(args.n)
-    budget = tail.TailBudget(mc_samples=args.mc_samples, seed=args.seed)
 
     def evaluate(b, n, _):
-        return _bound_row(ach.max_rate_at_eps(ch, n, args.eps, b, t=t, budget=budget))
+        return _bound_row(ach.max_rate_at_eps(ch, n, args.eps, b, t=t))
 
     return _write_curve([(b, n, None) for b in bounds for n in grid],
                         evaluate, _flagged_bound, BOUND_HEADER, args.output)
@@ -247,15 +244,14 @@ def cmd_nep(args):
         raise UsageError("--family rel needs --type")
     fam = (nep.rel_entropy_family(ch, t) if args.family == "rel"
            else nep.cond_entropy_family(ch))
-    budget = tail.TailBudget(mc_samples=args.mc_samples, seed=args.seed)
     deltas = parse_grid(args.delta, finite)
 
     def eval_point(d):
         sandwich = nep.tail_bounds(fam, d, args.n)
         clt = nep.tail_clt(fam, d, args.n)
         if isinstance(ch, chn.DiscreteChannel):
-            exact = (tail.ptdelta(ch, t, d, args.n, budget) if args.family == "rel"
-                     else tail.pdelta(ch, d, args.n, budget))
+            exact = (tail.ptdelta(ch, t, d, args.n) if args.family == "rel"
+                     else tail.pdelta(ch, d, args.n))
             exact_val, exact_kind = exact.value, exact.kind
         else:
             exact_val, exact_kind = "", "none"
@@ -282,7 +278,11 @@ def cmd_simulate(args):
         spec, theorem = mc.FixedTypeSpec(args.n, args.k, t), "thm3"
     delta = args.delta
     if delta is None:
-        delta = ach.bound_at_rate(theorem, ch, args.n, rate, t).delta
+        res = ach.bound_at_rate(theorem, ch, args.n, rate, t)
+        if res.error_ub >= 1.0:
+            raise ach.InfeasibleRateError(
+                f"{theorem} is 1 at every threshold at n={args.n}; give --delta")
+        delta = res.delta
     rep = mc.simulate_pe(ch, spec, delta, args.trials, args.seed,
                          tie_break=args.tie_break)
     row = [args.n, rate / LN2, rate, rep.empirical_pe,
@@ -296,8 +296,6 @@ def _add_common(sp):
     sp.add_argument("--channel", required=True,
                     help="bsc:p | bec:p | z:p | biawgn:snr_db | file:path")
     sp.add_argument("--output", default=None, help="CSV path (default stdout)")
-    sp.add_argument("--seed", type=int, default=20240817)
-    sp.add_argument("--mc-samples", type=int, default=10 ** 6)
     sp.add_argument("--type", default=None,
                     help="input composition, e.g. 0.5,0.5 or 1/3,2/3")
 
@@ -370,6 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--delta", type=finite, default=None,
                     help="decoder threshold deviation (default: optimizer)")
     sp.add_argument("--trials", type=int, default=100000)
+    sp.add_argument("--seed", type=int, default=20240817)
     sp.add_argument("--tie-break", choices=["pessimistic", "random"],
                     default="pessimistic")
     sp.set_defaults(fn=cmd_simulate)

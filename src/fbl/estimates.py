@@ -7,17 +7,14 @@ from dataclasses import dataclass, field
 class TailEstimate:
     """One evaluation of a tail probability.
 
-    kind is "exact" (value is the probability), "sandwich" (lower/upper
-    enclose it) or "mc" (value is a point estimate with a 99% Wilson
-    interval in lower/upper). log_value / log_upper carry the log-domain
-    numbers so callers can keep working below the float underflow line.
+    kind is "exact" (value is the probability) or "sandwich" (lower/upper
+    enclose it). log_value / log_upper carry the log-domain numbers so
+    callers can keep working below the float underflow line.
     """
     kind: str
     value: float | None = None
     lower: float | None = None
     upper: float | None = None
-    samples: int | None = None
-    seed: int | None = None
     log_value: float | None = None
     log_lower: float | None = None
     log_upper: float | None = None

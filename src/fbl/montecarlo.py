@@ -24,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channel as chn
-from .numkit import philox_rng
-from .tail import wilson_interval
+from .numkit import philox_rng, q_inv
 
 GALLAGER_N_CAP = 24
 FIXED_TYPE_N_CAP = 20
@@ -34,6 +33,20 @@ _SHARD = 4096
 _SLICE_CELLS = 1 << 16     # codeword letters drawn and decoded together
 _JAR_SLACK = 1e-12
 _TIE_BREAKS = ("pessimistic", "random")
+_WILSON_Z99 = q_inv(0.005)
+
+
+def wilson_interval(hits: int, trials: int):
+    """Wilson score 99% interval for a binomial proportion."""
+    if trials <= 0:
+        raise ValueError("trials must be positive")
+    phat = hits / trials
+    z = _WILSON_Z99
+    z2 = z * z
+    denom = 1.0 + z2 / trials
+    center = (phat + z2 / (2 * trials)) / denom
+    half = z * math.sqrt(phat * (1 - phat) / trials + z2 / (4 * trials * trials)) / denom
+    return max(0.0, center - half), min(1.0, center + half)
 
 
 @dataclass(frozen=True)

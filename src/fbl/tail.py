@@ -1,23 +1,24 @@
-"""Exact and Monte-Carlo evaluation of the deviation probabilities.
+"""Exact evaluation of the deviation probabilities.
 
 The single-letter statistics of a discrete channel (channel.statistic,
-one row per input in use) take finitely many values; when those values
-share a common lattice step the n-fold sum lives on an integer grid and
-its tail can be computed exactly by a log-domain convolution (binomial
-weights for a two-point row), within a fixed state budget. That
-distribution depends on neither the deviation nor the rate, so it is
-built once per (channel, composition, n), kept in a small memo with the
-statistic's mean, and every deviation is read off the same array as one
-slice. Otherwise a seeded Monte-Carlo estimate (with a Wilson 99%
-interval; `TailBudget` holds its sample count and seed) stands in, and
-continuous-output channels fall back to the two-sided sandwich from the
-tilted-measure module.
+one row per input in use) take finitely many values, so the n-letter
+sum has an exact law: a log-domain convolution when the values share a
+lattice step (binomial weights for a two-point row), else an enumeration
+of exact types (each count vector of a row's atoms with its multinomial
+weight, rows combined by outer sum), within a fixed state budget. The
+law depends on neither the deviation nor the rate, so it is built once
+per (channel, composition, n), memoised with the statistic's mean, and
+every deviation is one slice of it. Past the budget, and on
+continuous-output channels, the tail is the tilted-measure sandwich.
 
 Inequality conventions follow the two deviation events literally: the
-conditional-entropy event is a strict upper tail (borderline lattice
-atoms stay in the decoding set), the relative-entropy event is a
-non-strict lower tail. Threshold comparisons get a 1e-9 lattice-step
-slack toward the decoding set so float noise cannot flip an atom.
+conditional-entropy event is a strict upper tail (borderline atoms stay
+in the decoding set), the relative-entropy event is a non-strict lower
+tail. Threshold comparisons get a slack toward the decoding set of 1e-9
+of the distance from the lowest point (in lattice steps, or in nats and
+at least 1e-9 off a lattice), so float noise cannot flip an atom. Type
+atoms closer than four slacks merge into the highest of them for an
+upper tail and the lowest for a lower one, which can only raise the tail.
 """
 
 import math
@@ -30,24 +31,15 @@ from scipy.special import gammaln, logsumexp
 from . import channel as chn
 from . import nep
 from .estimates import TailEstimate
-from .numkit import philox_rng, q_inv, rationalize_step
+from .numkit import rationalize_step
 
-_WILSON_Z99 = q_inv(0.005)
 _MERGE_TOL = 1e-12
 _SLACK = 1e-9
-_MAX_LATTICE_STATES = 10 ** 7   # states of one exact lattice distribution
-_MC_SHARD = 65536               # Monte-Carlo samples per generator key
+_MAX_LATTICE_STATES = 10 ** 7   # states of one exact law, on a lattice or by types
 
 
 class LatticeInfeasibleError(ValueError):
-    """No common lattice step, or the DP state count exceeds the budget."""
-
-
-@dataclass(frozen=True)
-class TailBudget:
-    """Sample count and seed of the Monte-Carlo tail estimate."""
-    mc_samples: int = 10 ** 6
-    seed: int = 20240817
+    """No exact law within the state budget (of a lattice alone: no common step)."""
 
 
 @dataclass(frozen=True)
@@ -87,12 +79,34 @@ class LatticeSpec:
         return cls(np.array(keep_v), np.array(keep_p))
 
 
+@dataclass(frozen=True)
+class Law:
+    """Exact law of an n-letter sum: log masses log_pmf at the points
+    offset + step k (a lattice) or, off a lattice, at offset + points
+    (ascending, non-negative; step None)."""
+    offset: float
+    step: float | None
+    log_pmf: np.ndarray
+    points: np.ndarray | None = None
+
+    def atoms(self):
+        """(values, log masses) of the points that carry mass, ascending."""
+        if self.points is not None:
+            return self.offset + self.points, self.log_pmf
+        live = self.log_pmf > -np.inf
+        return self.offset + self.step * np.flatnonzero(live), self.log_pmf[live]
+
+    def tail(self, threshold: float, side: str) -> TailEstimate:
+        """Exact P{sum > threshold} (side 'gt') or P{sum <= threshold} ('le')."""
+        log_tail = _tail_from_distribution(self.offset, self.step, self.log_pmf,
+                                           threshold, side, self.points)
+        value = math.exp(log_tail) if log_tail > -745.0 else 0.0
+        return TailEstimate(kind="exact", value=min(value, 1.0), log_value=log_tail)
+
+
 def _lattice_step(rows):
-    """Common lattice step of rows (LatticeSpec, count); 0.0 for a fixed sum."""
-    diffs = [d for ls, _ in rows for d in np.diff(ls.values)]
-    if not diffs:
-        return 0.0
-    step = rationalize_step(diffs)
+    """Common lattice step of rows (LatticeSpec, count); a fixed sum has none."""
+    step = rationalize_step([d for ls, _ in rows for d in np.diff(ls.values)])
     if step is None:
         raise LatticeInfeasibleError("atom values share no common lattice step")
     return step
@@ -144,31 +158,82 @@ def _power_log(logp: np.ndarray, n: int) -> np.ndarray:
     return acc
 
 
-def _sum_distribution(rows):
-    """Distribution of the total sum: (offset, step, log-pmf over indices)."""
+def _lattice_law(rows) -> Law:
+    """The law on the rows' common lattice, by log-domain convolution."""
     step = _lattice_step(rows)
     offset = 0.0
     acc = np.array([0.0])
     for ls, cnt in rows:
-        base, logp = _row_pmf_on_lattice(ls, step if step else 1.0)
+        base, logp = _row_pmf_on_lattice(ls, step)
         offset += cnt * base
         if logp.size > 1:
             acc = _convolve_log(acc, _power_log(logp, cnt))
             if acc.size > _MAX_LATTICE_STATES:
                 raise LatticeInfeasibleError("lattice DP exceeded state budget")
-    return offset, step, acc
+    return Law(offset, step, acc)
 
 
-def _tail_from_distribution(offset, step, log_pmf, threshold, side):
-    """Tail mass of the lattice sum; side is 'gt' (strict) or 'le'."""
-    if step == 0.0 or log_pmf.size == 1:
-        edge = threshold + _SLACK * max(1.0, abs(threshold))
-        hit = offset > edge if side == "gt" else offset <= edge
-        return 0.0 if hit else -math.inf
-    # index k corresponds to value offset + k*step; k <= x exactly when k < cut
-    kappa = (threshold - offset) / step
-    x = kappa + _SLACK * max(1.0, abs(kappa))
-    cut = 0 if x < 0 else log_pmf.size if x >= log_pmf.size else math.floor(x) + 1
+def _row_types(ls: LatticeSpec, count: int):
+    """(value above count times the lowest atom, log multinomial weight) of
+    each type of count draws from one row: each count vector of its atoms."""
+    log_fact = gammaln(np.arange(count + 1) + 1.0)
+    left, value, log_w = np.array([count]), np.array([0.0]), log_fact[-1:]
+    for v, lp in zip(ls.values[1:] - ls.values[0], np.log(ls.probs[1:])):
+        idx = np.repeat(np.arange(left.size), left + 1)
+        k = np.arange(idx.size)
+        k -= np.repeat(np.cumsum(left + 1) - left - 1, left + 1)
+        left, value, log_w = left[idx], value[idx], log_w[idx]
+        left -= k
+        value += k * v
+        log_w += k * lp - log_fact[k]
+    return value, log_w + left * math.log(ls.probs[0]) - log_fact[left]
+
+
+def _merge_types(points, log_w, up: bool):
+    """Points (>= 0) ascending with their log masses; points closer than four
+    readout slacks become one, the highest of them when up, else the lowest."""
+    order = np.argsort(points)
+    points, log_w = points[order], log_w[order]
+    gaps = np.diff(points) > 4 * _SLACK * np.maximum(1.0, points[1:])
+    starts = np.flatnonzero(np.r_[True, gaps])
+    keep = np.r_[starts[1:] - 1, points.size - 1] if up else starts
+    return points[keep], np.logaddexp.reduceat(log_w, starts)
+
+
+def _types_law(rows, up: bool) -> Law:
+    """The law enumerated by exact types, rows combined by outer sum."""
+    states = math.prod(math.comb(cnt + ls.values.size - 1, cnt) for ls, cnt in rows)
+    if states > _MAX_LATTICE_STATES:
+        raise LatticeInfeasibleError(
+            f"exact types need {states} states, budget is {_MAX_LATTICE_STATES}")
+    offset, points, log_w = 0.0, np.array([0.0]), np.array([0.0])
+    for ls, cnt in rows:
+        v, w = _row_types(ls, cnt)
+        offset += cnt * float(ls.values[0])
+        points, log_w = _merge_types((points[:, None] + v).ravel(),
+                                     (log_w[:, None] + w).ravel(), up)
+    return Law(offset, None, log_w, points)
+
+
+def _sum_distribution(rows, up: bool = True) -> Law:
+    """Exact law of the total sum, on the rows' lattice or else by types (close
+    atoms merged up when up); LatticeInfeasibleError past the state budget."""
+    try:
+        return _lattice_law(rows)
+    except LatticeInfeasibleError:
+        return _types_law(rows, up)
+
+
+def _tail_from_distribution(offset, step, log_pmf, threshold, side, points=None):
+    """Log tail mass of the sum; side is 'gt' (strict) or 'le'."""
+    if points is not None:
+        y = threshold - offset
+        cut = int(np.searchsorted(points, y + _SLACK * max(1.0, abs(y)), side="right"))
+    else:
+        # index k corresponds to value offset + k*step; k <= x exactly when k < cut
+        kappa = (threshold - offset) / step
+        x = kappa + _SLACK * max(1.0, abs(kappa))
+        cut = 0 if x < 0 else log_pmf.size if x >= log_pmf.size else math.floor(x) + 1
     part = log_pmf[cut:] if side == "gt" else log_pmf[:cut]
     if part.size == log_pmf.size:
         return 0.0  # the whole distribution, whatever its rounding
@@ -177,72 +242,15 @@ def _tail_from_distribution(offset, step, log_pmf, threshold, side):
 
 def exact_tail_rows(rows, threshold: float, side: str = "gt") -> TailEstimate:
     """Exact tail of an independent sum drawn row-wise (count copies of each
-    row's spec) via lattice convolution.
+    row's spec), by lattice convolution or exact types.
 
     side='gt' gives P{sum > threshold} (strict), side='le' gives
-    P{sum <= threshold}. Raises LatticeInfeasibleError when the atoms do
-    not share a lattice or the state budget is exceeded.
+    P{sum <= threshold}. Raises LatticeInfeasibleError when the law
+    exceeds the state budget.
     """
     if side not in ("gt", "le"):
         raise ValueError(f"side must be 'gt' or 'le', got {side!r}")
-    offset, step, log_pmf = _sum_distribution(rows)
-    return _exact_estimate(
-        _tail_from_distribution(offset, step, log_pmf, threshold, side))
-
-
-def _exact_estimate(log_tail: float) -> TailEstimate:
-    """The exact TailEstimate of a log tail mass."""
-    value = math.exp(log_tail) if log_tail > -745.0 else 0.0
-    return TailEstimate(kind="exact", value=min(value, 1.0), log_value=log_tail)
-
-
-def wilson_interval(hits: int, trials: int):
-    """Wilson score 99% interval for a binomial proportion."""
-    if trials <= 0:
-        raise ValueError("trials must be positive")
-    phat = hits / trials
-    z = _WILSON_Z99
-    z2 = z * z
-    denom = 1.0 + z2 / trials
-    center = (phat + z2 / (2 * trials)) / denom
-    half = z * math.sqrt(phat * (1 - phat) / trials + z2 / (4 * trials * trials)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
-
-
-def mc_tail_rows(rows, threshold: float, samples: int, seed: int,
-                 side: str = "gt") -> TailEstimate:
-    """Monte-Carlo estimate, with a 99% Wilson interval, of the tail that
-    exact_tail_rows computes.
-
-    Sampling is sharded into blocks of _MC_SHARD samples with per-shard
-    generators derived from (seed, shard index), so the result is
-    bit-identical no matter how shards are scheduled.
-    """
-    if samples < 1000:
-        raise ValueError("use at least 1000 samples")
-    slack = _SLACK * max(1.0, abs(threshold))
-    hits = 0
-    done = 0
-    shard_index = 0
-    while done < samples:
-        m = min(_MC_SHARD, samples - done)
-        rng = philox_rng(seed, shard_index)
-        total = np.zeros(m)
-        for ls, cnt in rows:
-            if ls.values.size == 1:
-                total += cnt * ls.values[0]
-                continue
-            counts = rng.multinomial(cnt, ls.probs, size=m)
-            total += counts @ ls.values
-        if side == "gt":
-            hits += int(np.count_nonzero(total > threshold + slack))
-        else:
-            hits += int(np.count_nonzero(total <= threshold + slack))
-        done += m
-        shard_index += 1
-    lo, hi = wilson_interval(hits, samples)
-    return TailEstimate(kind="mc", value=hits / samples, lower=lo, upper=hi,
-                        samples=samples, seed=seed)
+    return _sum_distribution(rows, side == "gt").tail(threshold, side)
 
 
 # ---------------------------------------------------------------------------
@@ -271,66 +279,55 @@ def _deviation_event(centre: float, t, delta: float, n: int):
     return n * (centre - delta), "le"
 
 
-# One distribution per (channel, composition, n); channels hash by
-# identity, compositions by value. The rate curves walk one key at a time,
-# and an entry can hold as many states as the budget allows, so the memo
-# stays small. LatticeInfeasibleError is raised, not cached.
+# One law per (channel, composition, n); channels hash by identity,
+# compositions by value. The rate curves walk one key at a time, and an
+# entry can hold as many states as the budget allows, so the memo stays
+# small. LatticeInfeasibleError is raised, not cached.
 @lru_cache(maxsize=4)
 def _lattice_distribution(ch, t, n: int):
-    """(offset, step, log-pmf, per-letter centre) of the n-letter sum."""
-    offset, step, log_pmf = _sum_distribution(_statistic_rows(ch, t, n))
-    log_pmf.setflags(write=False)
-    return offset, step, log_pmf, _centre(ch, t)
+    """(exact law, per-letter centre) of the n-letter sum, merged toward its tail."""
+    law = _sum_distribution(_statistic_rows(ch, t, n), up=t is None)
+    law.log_pmf.setflags(write=False)
+    return law, _centre(ch, t)
 
 
 def lattice_tail(ch: chn.DiscreteChannel, t: chn.InputType | None, delta: float,
                  n: int) -> TailEstimate:
-    """Exact deviation probability of pdelta (t None) or ptdelta (type t).
-
-    Reads the tail off the memoised lattice distribution of the n-letter
-    sum. Raises LatticeInfeasibleError when the atoms share no lattice or
-    the distribution needs more than _MAX_LATTICE_STATES states.
+    """Exact deviation probability of pdelta (t None) or ptdelta (type t), read
+    off the memoised exact law of the n-letter sum. Raises
+    LatticeInfeasibleError when that law needs more than _MAX_LATTICE_STATES states.
     """
-    offset, step, log_pmf, centre = _lattice_distribution(ch, t, n)
-    threshold, side = _deviation_event(centre, t, delta, n)
-    return _exact_estimate(
-        _tail_from_distribution(offset, step, log_pmf, threshold, side))
+    law, centre = _lattice_distribution(ch, t, n)
+    return law.tail(*_deviation_event(centre, t, delta, n))
 
 
-def _discrete_tail(ch, t, delta, n, budget):
-    """The exact lattice tail, else a Monte-Carlo estimate of the same event."""
-    budget = budget or TailBudget()
-    try:
-        return lattice_tail(ch, t, delta, n)
-    except LatticeInfeasibleError:
-        threshold, side = _deviation_event(_centre(ch, t), t, delta, n)
-        return mc_tail_rows(_statistic_rows(ch, t, n), threshold, budget.mc_samples,
-                            budget.seed, side=side)
-
-
-def pdelta(ch, delta: float, n: int,
-           budget: TailBudget | None = None) -> TailEstimate:
+def pdelta(ch, delta: float, n: int) -> TailEstimate:
     """Deviation probability of the conditional-entropy sum.
 
     P{ -(1/n) sum ln p(X_i|Z_i) > H(X|Y) + delta } under uniform input.
-    Dispatch: exact lattice DP (its distribution built once per channel
-    and n, and reused for every delta), then Monte Carlo,
-    then the tilted-measure sandwich for continuous-output channels.
+    Dispatch: the exact law (built once per channel and n, and reused for
+    every delta), else, past its state budget or for continuous-output
+    channels, the tilted-measure sandwich.
     """
-    if isinstance(ch, chn.BiAwgn):
-        return nep.tail_bounds(nep.cond_entropy_family(ch), delta, n)
-    return _discrete_tail(ch, None, delta, n, budget)
+    if isinstance(ch, chn.DiscreteChannel):
+        try:
+            return lattice_tail(ch, None, delta, n)
+        except LatticeInfeasibleError:
+            pass
+    return nep.tail_bounds(nep.cond_entropy_family(ch), delta, n)
 
 
-def ptdelta(ch, t: chn.InputType, delta: float, n: int,
-            budget: TailBudget | None = None) -> TailEstimate:
+def ptdelta(ch, t: chn.InputType, delta: float, n: int) -> TailEstimate:
     """Deviation probability of the relative-entropy sum for an n-type t.
 
     P{ sum ln(p(Y_i|x_i)/q_t(Y_i)) <= n (I(t;P) - delta) } for any fixed
     input of composition t (the law depends on the input only through t).
-    The same dispatch as pdelta; the lattice distribution is built once
-    per (channel, t, n) and reused for every delta.
+    The same dispatch as pdelta; the exact law is built once per
+    (channel, t, n) and reused for every delta.
     """
-    if isinstance(ch, chn.BiAwgn):
-        return nep.tail_bounds(nep.rel_entropy_family(ch, t), delta, n)
-    return _discrete_tail(ch, t, delta, n, budget)
+    if isinstance(ch, chn.DiscreteChannel):
+        try:
+            return lattice_tail(ch, t, delta, n)
+        except LatticeInfeasibleError:
+            pass
+    return nep.tail_bounds(nep.rel_entropy_family(ch, t), delta, n)

@@ -53,9 +53,8 @@ class TestThm1Bound:
     def test_asymmetric_channel_gets_puncturing_factor(self):
         z = chn.zchannel(0.5)
         n, delta = 10, 0.05
-        res = ach.thm1_bound(z, ach.CodeParams(n, k=2), delta,
-                             tail.TailBudget(mc_samples=2000))
-        pd = tail.pdelta(z, delta, n, tail.TailBudget(mc_samples=2000))
+        res = ach.thm1_bound(z, ach.CodeParams(n, k=2), delta)
+        pd = tail.pdelta(z, delta, n)
         assert res.components[0] == pytest.approx(
             pd.pessimistic / (1 - 2.0 ** -n), rel=1e-12)
 
@@ -244,14 +243,43 @@ class TestThm1LatticeMinimum:
         assert res.delta == pytest.approx(delta, rel=1e-13)
 
     def test_without_lattice_falls_back_to_search(self):
-        ch = chn.zchannel(0.5)
+        # five atoms off a lattice: past the state budget of exact types at n = 130
+        ch = chn.DiscreteChannel([[0.6, 0.3, 0.1], [0.2, 0.3, 0.5]])
         with pytest.raises(tail.LatticeInfeasibleError):
-            tail.lattice_tail(ch, None, 0.05, 10)
-        cp = ach.CodeParams(10, k=2)
-        budget = tail.TailBudget(mc_samples=2000)
-        res = ach.thm1_optimized(ch, cp, budget)
-        assert res == ach.thm1_bound(ch, cp, res.delta, budget)
-        assert res.tail_kind == "mc"
+            tail.lattice_tail(ch, None, 0.05, 130)
+        cp = ach.CodeParams(130, k=20)
+        res = ach.thm1_optimized(ch, cp)
+        assert res == ach.thm1_bound(ch, cp, res.delta)
+        assert res.tail_kind == "sandwich"
+
+    def test_z_channel_is_an_exact_readout(self):
+        # the Z channel's atoms 0, ln 3 and ln 1.5 share no lattice step: the
+        # minimum over thresholds of f0 P(S >= s_j) + M 2^-n E[e^S 1{0 < S < s_j}]
+        # over a brute-force enumeration of its 501,501 types
+        ch, n, rate = chn.zchannel(0.5), 1000, 0.15
+        res = ach.bound_at_rate("thm1", ch, n, rate)
+        assert res.tail_kind == "exact"
+        values, probs = [], []
+        for b in range(n + 1):  # b letters at ln 3, c at ln 1.5, the rest at 0
+            c = np.arange(n - b + 1)
+            values.append(b * math.log(3.0) + c * math.log(1.5))
+            probs.append(np.exp(math.lgamma(n + 1) - math.lgamma(b + 1)
+                                - np.array([math.lgamma(x + 1) for x in c])
+                                - np.array([math.lgamma(n - b - x + 1) for x in c])
+                                + b * math.log(0.25) + c * math.log(0.5)
+                                + (n - b - c) * math.log(0.25)))
+        values, probs = np.concatenate(values), np.concatenate(probs)
+        order = np.argsort(values)
+        values, probs = values[order], probs[order]
+        f0 = 1.0 / (1.0 - 2.0 ** -n)
+        tails = np.r_[np.cumsum(probs[::-1])[::-1], 0.0]
+        with np.errstate(over="ignore"):
+            charged = np.where(values > 0, probs * np.exp(values + n * (rate - LN2)), 0.0)
+        best = float(np.min(f0 * tails + np.r_[0.0, np.cumsum(charged)]))
+        assert res.error_ub == pytest.approx(best, rel=1e-10)
+        assert res.error_ub == pytest.approx(1.7007e-07, rel=1e-4)
+        at_delta = ach.thm1_bound(ch, ach.CodeParams(n, rate_nats=rate), res.delta)
+        assert at_delta.components[0] == pytest.approx(res.components[0], rel=1e-12)
 
 
 def _merge(pairs):
@@ -297,23 +325,28 @@ def _type_defect(t, n):
 
 
 class TestBreakpointReadout:
-    """On a lattice, thm3's optimum and the thm1/thm3 rates at eps equal
-    scans over the breakpoints of a brute-force law: thresholds just below
-    each atom (thm3) or between atoms (thm1), on both sides of the mean."""
+    """On an exact law (a lattice, or types: Z's thm1, a 2x2 channel's thm3),
+    thm3's optimum and the thm1/thm3 rates at eps equal scans over the
+    breakpoints of a brute-force law: thresholds just below each atom (thm3)
+    or between atoms (thm1), on both sides of the mean."""
 
     @staticmethod
     def _case(data, name):
-        kinds = ["golden", "bsc", "bec"] + (["z"] if name == "thm3" else [])
+        kinds = ["golden", "bsc", "bec", "z"] + (["2x2"] if name == "thm3" else [])
         kind = data.draw(st.sampled_from(kinds), label="kind")
         if kind == "golden":
             i = data.draw(st.integers(1, 3), label="i")
             matrix = _golden_lattice_channel(i, data.draw(st.integers(i + 1, 4), label="j"))
+        elif kind == "2x2":  # two rows whose atoms share no step
+            a, b = (data.draw(st.floats(0.05, 0.95), label=label) for label in "ab")
+            assume(abs(a - b) > 0.05)
+            matrix = [[a, 1 - a], [b, 1 - b]]
         else:
             p = data.draw(st.floats(0.02, 0.45 if kind == "bsc" else 0.95), label="p")
             matrix = {"bsc": chn.bsc, "bec": chn.bec, "z": chn.zchannel}[kind](p).matrix
         # Z-type rows keep the relative-entropy lattice for any composition
         a = (data.draw(st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]),
-                       label="t0") if kind in ("z", "golden") else Fraction(1, 2))
+                       label="t0") if kind in ("z", "golden", "2x2") else Fraction(1, 2))
         n = 4 * data.draw(st.integers(2, 25), label="n/4")
         return chn.DiscreteChannel(matrix), chn.InputType((a, 1 - a)), n
 
@@ -370,6 +403,27 @@ class TestBreakpointReadout:
         res = ach.max_rate_at_eps(ch, n, eps, name, t=t)
         assert res.rate_nats == pytest.approx(expect, rel=1e-10)
         assert res.error_ub <= eps
+        bound = ach.thm1_bound if t is None else ach.thm3_bound
+        at_delta = bound(ch, ach.CodeParams(n, rate_nats=res.rate_nats, t=t), res.delta)
+        assert at_delta.components[0] == pytest.approx(res.components[0], rel=1e-12,
+                                                       abs=1e-300)
+
+    def test_thm3_threshold_stays_above_a_close_atom_below(self, monkeypatch):
+        # types atoms 1e-8 apart: 1e-7 of the distance from the lowest atom
+        # would put the threshold below both, so it moves by half the gap
+        points = np.array([0.0, 1.0, 1.0 + 1e-8, 2.0])
+        law = tail.Law(0.0, None, np.log([0.1, 0.2, 0.3, 0.4]), points)
+        monkeypatch.setattr(tail, "_lattice_distribution", lambda *key: (law, 0.5))
+        ch, n = chn.zchannel(0.5), 4
+        cp = ach.CodeParams(n, rate_nats=0.1, t=UNIF)
+        ach._breakpoints.cache_clear()
+        try:
+            log_tail, _, deltas = ach._breakpoints(ach._ensemble(ch, UNIF, n))
+            got = [ach.thm3_bound(ch, cp, d).components[0] for d in deltas]
+        finally:
+            ach._breakpoints.cache_clear()
+        assert got == pytest.approx([0.0, 0.1, 0.3, 0.6], rel=1e-12, abs=0.0)
+        assert got == pytest.approx(np.exp(log_tail).tolist(), rel=1e-12, abs=0.0)
 
     def test_minimum_above_the_mean(self):
         # the infimum sits at a threshold above n I(t;P): delta <= 0, which
@@ -499,22 +553,17 @@ class TestThm2:
 
 
 class TestCentralLimitTailPath:
-    """Without a lattice the central-limit rows keep the analytic form and
-    draw no Monte-Carlo tail."""
-
-    @pytest.fixture(autouse=True)
-    def _no_monte_carlo(self, monkeypatch):
-        def fail(*args, **kwargs):
-            raise AssertionError("Monte-Carlo tail drawn")
-        monkeypatch.setattr(tail, "mc_tail_rows", fail)
+    """Off a lattice the central-limit rows read the exact types law within
+    its state budget, and keep the analytic form past it."""
 
     def test_thm2p2_on_z_channel(self):
         ch, n, rate = chn.zchannel(0.5), 1000, 0.2 * LN2
         with pytest.raises(tail.LatticeInfeasibleError):
-            tail.lattice_tail(ch, None, 0.05, n)
+            tail._lattice_step(tail._statistic_rows(ch, None, n))
         res = ach.bound_at_rate("thm2p2", ch, n, rate)
-        assert res.tail_kind == "clt"
-        assert res == ach.bound_at_rate("thm2p2", ch, n, rate, exact_tail=False)
+        assert res.tail_kind == "exact"
+        at_delta = ach.thm1_bound(ch, ach.CodeParams(n, rate_nats=rate), res.delta)
+        assert (res.error_ub, res.components) == (at_delta.error_ub, at_delta.components)
 
     def test_thm4p2_without_relative_entropy_lattice(self):
         ch = chn.DiscreteChannel([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]])
@@ -607,12 +656,10 @@ class TestThm4:
         mi = chn.mutual_info(plain, t2)
         assume(mi > 0.01)
         rate = data.draw(st.floats(0.2, 0.8), label="frac") * mi
-        budget = tail.TailBudget(mc_samples=1000)
-
         def row(ch, t, name, at_eps):
             try:
                 res = (ach.max_rate_at_eps(ch, n, 1e-3, name, t=t) if at_eps
-                       else ach.bound_at_rate(name, ch, n, rate, t=t, budget=budget))
+                       else ach.bound_at_rate(name, ch, n, rate, t=t))
             except (ach.InfeasibleRateError, chn.DegenerateChannelError) as exc:
                 return str(exc)
             return res.theorem, res.tail_kind, [

@@ -110,6 +110,23 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1 and value in err
 
 
+    @pytest.mark.parametrize("argv, flag", [
+        (argv, flag) for argv in (
+            ["bound", "--theorem", "thm1", "--n", "100", "--k", "30"],
+            ["compare", "--bounds", "thm1", "--n", "100", "--eps", "1e-3"],
+            ["rate-vs-n", "--bounds", "thm1", "--n", "100", "--eps", "1e-3"],
+            ["error-vs-rate", "--bounds", "thm1", "--n", "100", "--rates", "0.2"],
+            ["nep", "--n", "100", "--delta", "0.05"],
+            ["simulate", "--ensemble", "gallager", "--n", "12", "--k", "3"])
+        for flag in ("--mc-samples", "--seed") if (argv[0], flag) != ("simulate", "--seed")
+    ], ids=lambda x: x[0] if isinstance(x, list) else x)
+    def test_sampling_flags_only_on_simulate(self, argv, flag, capsys):
+        code = cli.main([*argv, "--channel", "bsc:0.11", flag, "1000"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and flag in err
+
+
 class TestBoundCommand:
     def test_above_capacity_anchor(self):
         r = run_cli(["bound", "--channel", "bsc:0.12", "--n", "1000",
@@ -271,6 +288,16 @@ class TestCurveCommands:
         assert 0 < float(rows[0]["rate_nats"]) < mi
         assert float(rows[0]["error_ub"]) <= 1e-3
 
+    def test_z_channel_thm1_curve_is_exact(self, capsys):
+        assert cli.main(["compare", "--channel", "z:0.5", "--eps", "1e-3",
+                         "--n", "200:1000:200", "--bounds", "thm1"]) == 0
+        _, rows = parse_csv(capsys.readouterr().out)
+        assert all(r["tail_kind"] == "exact" and float(r["error_ub"]) <= 1e-3 for r in rows)
+        rates = [float(r["rate_nats"]) for r in rows]
+        assert all(a < b for a, b in zip(rates, rates[1:]))
+        assert rates[0] == pytest.approx(0.1212, abs=5e-5)
+        assert rates[-1] == pytest.approx(0.1757, abs=5e-5)
+
     def test_compare_bytes_repeat_across_runs(self):
         args = ["compare", "--channel", "bsc:0.11", "--eps", "1e-3",
                 "--n", "200:600:200", "--bounds", "thm1,ee"]
@@ -319,6 +346,16 @@ class TestSimulateCommand:
         _, rows = parse_csv(a)
         assert rows[0]["theorem"] == "sim-gallager"
         assert 0.0 <= float(rows[0]["error_ub"]) <= 1.0
+
+    def test_bound_of_one_needs_a_given_delta(self, capsys):
+        # thm3 is 1 at every threshold here, so its optimiser names no decoder
+        argv = ["simulate", "--channel", "z:0.5", "--ensemble", "fixedtype",
+                "--type", "0.5,0.5", "--n", "8", "--k", "2", "--trials", "1000"]
+        assert cli.main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("infeasible:") and "--delta" in err
+        assert cli.main([*argv, "--delta", "1e-6"]) == 0
 
 
 class TestJobFile:

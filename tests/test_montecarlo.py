@@ -2,18 +2,36 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import binom
 
 from fbl import achievability as ach
 from fbl import channel as chn
 from fbl import montecarlo as mc
+from fbl import tail
+from fbl.montecarlo import wilson_interval
 from fbl.numkit import philox_rng
-from fbl.tail import wilson_interval
 
 UNIF = chn.InputType.uniform(2)
 
 
 def gf2_product(parity, word_bits):
     return (parity @ word_bits) % 2
+
+
+class TestWilsonInterval:
+    def test_coverage_against_exact(self):
+        # nominal 99% coverage, verified exactly via the binomial law of the
+        # hit count at a tail probability of the BSC
+        samples = 20000
+        exact = tail.pdelta(chn.bsc(0.11), 0.05, 100).value
+        ks = np.arange(int(binom.ppf(1e-12, samples, exact)),
+                       int(binom.ppf(1 - 1e-12, samples, exact)) + 1)
+        cover = 0.0
+        for k in ks:
+            lo, hi = wilson_interval(int(k), samples)
+            if lo <= exact <= hi:
+                cover += binom.pmf(int(k), samples, exact)
+        assert cover >= 0.985
 
 
 class TestSampleGallager:

@@ -21,13 +21,21 @@ def cond_spec(ch):
     return spec
 
 
-def enumerate_tail(values, probs, n, threshold, side):
-    """Brute-force oracle: outer-product enumeration of all atom tuples."""
+def enumerate_sums(letters):
+    """Every sum of one atom per letter, with its probability; letters is a
+    list of (values, probs), one entry per summand."""
     sums = np.array([0.0])
     ps = np.array([1.0])
-    for _ in range(n):
+    for values, probs in letters:
         sums = (sums[:, None] + np.asarray(values)[None, :]).ravel()
         ps = (ps[:, None] * np.asarray(probs)[None, :]).ravel()
+    return sums, ps
+
+
+def enumerate_tail(values, probs, n, threshold, side, letters=None):
+    """Brute-force oracle: outer-product enumeration of all atom tuples of n
+    i.i.d. letters, or of the given letters."""
+    sums, ps = enumerate_sums(letters or [(values, probs)] * n)
     if side == "gt":
         mask = sums > threshold + 1e-9 * max(1.0, abs(threshold))
     else:
@@ -101,11 +109,14 @@ class TestExactTail:
         assert le == pytest.approx(float(binom.cdf(2, n, 0.5)), rel=1e-12)
         assert gt + le == pytest.approx(1.0, rel=1e-12)
 
-    def test_infeasible_lattice(self):
-        ls = tail.LatticeSpec.from_atoms(
-            [0.0, math.log(2), math.log(3)], [0.3, 0.3, 0.4])
-        with pytest.raises(tail.LatticeInfeasibleError):
-            tail.exact_tail_rows([(ls, 10)], 1.0)
+    def test_off_lattice_sum_is_exact_by_types(self):
+        values, probs = [0.0, math.log(2), math.log(3)], [0.3, 0.3, 0.4]
+        ls = tail.LatticeSpec.from_atoms(values, probs)
+        for side in ("gt", "le"):
+            est = tail.exact_tail_rows([(ls, 10)], 4.0, side=side)
+            assert est.kind == "exact"
+            assert est.value == pytest.approx(enumerate_tail(values, probs, 10, 4.0, side),
+                                              rel=1e-12)
 
     def test_state_budget(self):
         # 10^7 + 2 states: refused before anything is allocated
@@ -120,48 +131,6 @@ class TestExactTail:
         est = tail.exact_tail_rows([(spec, 3000)], 3000 * (h + 1.2))
         assert est.value == 0.0 or est.value < 1e-300
         assert est.log_value < -700
-
-
-class TestMcTail:
-    def test_degenerate_atom(self):
-        ls = tail.LatticeSpec.from_atoms([2.0], [1.0])
-        est = tail.mc_tail_rows([(ls, 10)], 5.0, samples=2000, seed=1)
-        assert est.value == 1.0
-        assert est.lower > 0.99
-
-    def test_seed_replay_bit_identical(self):
-        ls = cond_spec(chn.bsc(0.11))
-        a = tail.mc_tail_rows([(ls, 50)], 50 * 0.40, samples=4000, seed=123)
-        b = tail.mc_tail_rows([(ls, 50)], 50 * 0.40, samples=4000, seed=123)
-        assert a.value == b.value and a.lower == b.lower
-
-    def test_coverage_against_exact(self):
-        # interval with nominal 99% coverage: verify exactly via the
-        # binomial law of the hit count, then spot-check 100 fixed seeds
-        ch = chn.bsc(0.11)
-        spec = cond_spec(ch)
-        h = chn.cond_entropy(ch)
-        n, delta, samples = 100, 0.05, 20000
-        thr = n * (h + delta)
-        exact = tail.exact_tail_rows([(spec, n)], thr).value
-        ks = np.arange(int(binom.ppf(1e-12, samples, exact)),
-                       int(binom.ppf(1 - 1e-12, samples, exact)) + 1)
-        cover = 0.0
-        for k in ks:
-            lo, hi = tail.wilson_interval(int(k), samples)
-            if lo <= exact <= hi:
-                cover += binom.pmf(int(k), samples, exact)
-        assert cover >= 0.985
-        hits = 0
-        for seed in range(100):
-            est = tail.mc_tail_rows([(spec, n)], thr, samples=samples, seed=seed)
-            hits += est.lower <= exact <= est.upper
-        assert hits >= 96
-
-    def test_minimum_samples(self):
-        ls = tail.LatticeSpec.from_atoms([0.0, 1.0], [0.5, 0.5])
-        with pytest.raises(ValueError):
-            tail.mc_tail_rows([(ls, 10)], 5.0, samples=10, seed=0)
 
 
 class TestPdelta:
@@ -180,21 +149,31 @@ class TestPdelta:
         oracle = float(binom.sf(math.floor(n * (p + delta / math.log(2))), n, p))
         assert est.value == pytest.approx(oracle, rel=1e-12)
 
-    def test_z_channel_dispatches_to_mc(self):
-        est = tail.pdelta(chn.zchannel(0.5), 0.05, 50,
-                          tail.TailBudget(mc_samples=20000))
-        assert est.kind == "mc"
-        assert 0.0 <= est.lower <= est.value <= est.upper <= 1.0
+    def test_z_channel_dispatches_to_exact_types(self):
+        # atoms 0, ln 3 and ln 1.5 share no lattice step
+        est = tail.pdelta(chn.zchannel(0.5), 0.05, 50)
+        assert est.kind == "exact"
+        assert tail._lattice_distribution(chn.zchannel(0.5), None, 50)[0].step is None
+        assert 0.0 < est.value < 1.0
 
-    def test_z_channel_mc_covers_enumeration(self):
+    def test_z_channel_equals_enumeration(self):
         # n small enough for the exact answer by brute force
         ch = chn.zchannel(0.5)
         n, delta = 8, 0.05
         v, p = chn.posterior_atoms(ch)
         h = chn.cond_entropy(ch)
         expect = enumerate_tail(v, p, n, n * (h + delta), "gt")
-        est = tail.pdelta(ch, delta, n, tail.TailBudget(mc_samples=200000))
-        assert est.lower <= expect <= est.upper
+        est = tail.pdelta(ch, delta, n)
+        assert est.kind == "exact"
+        assert est.value == pytest.approx(expect, rel=1e-12)
+
+    def test_past_the_state_budget_dispatches_to_sandwich(self):
+        # five atoms off a lattice: C(134, 4) > 10^7 types at n = 130
+        ch = chn.DiscreteChannel([[0.6, 0.3, 0.1], [0.2, 0.3, 0.5]])
+        with pytest.raises(tail.LatticeInfeasibleError):
+            tail.lattice_tail(ch, None, 0.05, 130)
+        est = tail.pdelta(ch, 0.05, 130)
+        assert est == nep.tail_bounds(nep.cond_entropy_family(ch), 0.05, 130)
 
     def test_biawgn_dispatches_to_sandwich(self):
         est = tail.pdelta(chn.BiAwgn(1.0), 0.05, 300)
@@ -330,6 +309,73 @@ class TestReadout:
         threshold = offset + step * index
         expect = mask_readout(offset, step, log_pmf, threshold, side)
         assert tail._tail_from_distribution(offset, step, log_pmf, threshold, side) == expect
+
+
+class TestTypesLaw:
+    """Off a lattice the law is enumerated by types: its tails equal a
+    brute-force enumeration of every outcome."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(["z", "2x2", "2x3"]),
+           family=st.sampled_from(["cond", "rel"]), n=st.sampled_from([2, 4, 6, 8]),
+           side=st.sampled_from(["gt", "le"]))
+    def test_tail_equals_enumeration(self, data, kind, family, n, side):
+        if kind == "z":
+            ch = chn.zchannel(data.draw(st.floats(0.05, 0.95), label="p"))
+        else:
+            width = int(kind[-1])
+            rows = [data.draw(st.lists(st.floats(0.05, 1.0), min_size=width,
+                                       max_size=width), label="row") for _ in range(2)]
+            ch = chn.DiscreteChannel(np.array(rows) / np.sum(rows, axis=1, keepdims=True))
+        t = None if family == "cond" else UNIF
+        rows = tail._statistic_rows(ch, t, n)
+        letters = [(ls.values, ls.probs) for ls, cnt in rows for _ in range(cnt)]
+        sums = np.sort(enumerate_sums(letters)[0])
+        atoms = sums[np.r_[True, np.diff(sums) > 1e-9 * np.maximum(1.0, np.abs(sums[1:]))]]
+        assume(atoms.size > 1 and np.min(np.diff(atoms)) > 1e-5)
+        j = data.draw(st.integers(0, atoms.size - 1), label="atom")
+        where = data.draw(st.sampled_from(["on", "near", "off", "between"]), label="where")
+        sign = data.draw(st.sampled_from([-1.0, 1.0]), label="sign")
+        threshold = {"on": atoms[j],
+                     "near": atoms[j] + sign * 1e-12 * max(1.0, abs(atoms[j])),
+                     "off": atoms[j] + sign * 1e-6,
+                     "between": 0.5 * (atoms[j] + atoms[min(j + 1, atoms.size - 1)])}[where]
+        law = tail._types_law(rows, up=side == "gt")
+        assert law.tail(threshold, side).value == pytest.approx(
+            enumerate_tail(None, None, n, threshold, side, letters), rel=1e-12, abs=1e-12)
+        try:
+            tail._lattice_step(rows)
+        except tail.LatticeInfeasibleError:
+            # off a lattice the memoised law of the family's own event is the types law
+            centre = tail._centre(ch, t)
+            delta = threshold / n - centre if t is None else centre - threshold / n
+            own = "gt" if t is None else "le"
+            got = tail.lattice_tail(ch, t, delta, n)
+            assert got.kind == "exact"
+            assert got.value == pytest.approx(
+                enumerate_tail(None, None, n, threshold, own, letters), rel=1e-12, abs=1e-12)
+
+
+    def test_close_atoms_merge_toward_the_larger_tail(self):
+        # at n = 2 the sums 1 + 1 and 0 + (2 + 5e-9) are closer than four
+        # readout slacks: they merge, up for an upper tail, down for a lower one
+        values, probs = [0.0, 1.0, 2.0 + 5e-9], [0.2, 0.5, 0.3]
+        ls = tail.LatticeSpec.from_atoms(values, probs)
+        with pytest.raises(tail.LatticeInfeasibleError):
+            tail._lattice_step([(ls, 2)])
+        between = 2.0 + 2.5e-9
+        both = 0.5 ** 2 + 2 * 0.2 * 0.3
+        gt = tail.exact_tail_rows([(ls, 2)], between, side="gt").value
+        le = tail.exact_tail_rows([(ls, 2)], between, side="le").value
+        assert gt == pytest.approx(enumerate_tail(values, probs, 2, between, "gt") + 0.5 ** 2,
+                                   rel=1e-12)
+        assert le == pytest.approx(enumerate_tail(values, probs, 2, between, "le")
+                                   + 2 * 0.2 * 0.3, rel=1e-12)
+        assert gt + le == pytest.approx(1.0 + both, rel=1e-12)
+        for threshold in (1.5, 2.5):  # away from the pair nothing moves
+            for side in ("gt", "le"):
+                assert tail.exact_tail_rows([(ls, 2)], threshold, side=side).value == \
+                    pytest.approx(enumerate_tail(values, probs, 2, threshold, side), rel=1e-12)
 
 
 class TestLatticeMemo:

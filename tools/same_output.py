@@ -14,10 +14,11 @@ channel and a BiAWGN, and the fixed-composition and central-limit rows
 on a BiAWGN and a Z channel, through both `error-vs-rate` and `compare`.
 Then single rows that those miss: the BSC and BEC closed forms at an
 exact M and at ln M, with and without --dt-variant; the Z closed form
-at --k; thm1 at a given --delta; thm1 on the Z channel, whose tail is a
-Monte-Carlo estimate, alone and beside thm3; thm3 at a rate whose
-optimum lies at delta <= 0; and the fixed-composition and random
-tie-break simulations.
+at --k; thm1 at a given --delta; thm1 on the Z channel, whose tail is
+read off its exact types, alone, beside thm3 and along n = 200..3000;
+thm3 at a rate whose optimum lies at delta <= 0; and the
+fixed-composition simulation at a given --delta and the random
+tie-break simulation.
 """
 
 import os
@@ -55,14 +56,15 @@ def commands():
            "--n", "200", "--k", "40"]
     yield ["bound", "--channel", "bec:0.5", "--theorem", "thm1", "--n", "500", "--k", "200",
            "--delta", "0.05"]
-    yield ["compare", "--channel", "z:0.5", "--eps", "0.05", "--n", "100", "--bounds", "thm1",
-           "--mc-samples", "1000"]
+    yield ["compare", "--channel", "z:0.5", "--eps", "0.05", "--n", "100", "--bounds", "thm1"]
+    yield ["compare", "--channel", "z:0.5", "--eps", "1e-3", "--n", "200:3000:200",
+           "--bounds", "thm1"]
     yield ["bound", "--channel", "z:0.5", "--type", "0.5,0.5", "--theorem", "thm3", "--n", "100",
            "--rate-rel-capacity", "0.856"]
     yield ["compare", "--channel", "z:0.4", "--type", "0.5,0.5", "--eps", "1e-2", "--n",
-           "200:600:200", "--bounds", "thm1,thm3", "--mc-samples", "1000"]
+           "200:600:200", "--bounds", "thm1,thm3"]
     yield ["simulate", "--channel", "z:0.5", "--ensemble", "fixedtype", "--type", "0.5,0.5",
-           "--n", "8", "--k", "2", "--trials", "5000", "--seed", "3"]
+           "--n", "8", "--k", "2", "--trials", "5000", "--seed", "3", "--delta", "1e-6"]
     yield ["simulate", "--channel", "bsc:0.11", "--ensemble", "gallager", "--n", "12",
            "--k", "3", "--trials", "5000", "--seed", "3", "--tie-break", "random"]
 
