@@ -11,8 +11,10 @@ ensemble, error-at-rate and rate-at-eps, and `bound_at_rate` and
 the statistic's exact law, thm1's and thm3's minima over the deviation
 are exact, atom by atom (thm1's equals the BSC and BEC closed forms in
 any layout), and so is the largest rate that meets eps: both are read
-off the breakpoints between atoms. Their deviation is signed, so the row
-names the decoder it covers; elsewhere the deviation is searched.
+off the breakpoints between atoms, in the cumulative arrays of the law's
+one memoised record (`tail.exact_law`). Their deviation is signed, so the
+row names the decoder it covers. Elsewhere the deviation is searched,
+and a rate at eps is checked at the searched deviation.
 
 Rates are nats per channel use internally; the CLI converts to bits.
 Every reported error bound is clamped to [0, 1]; the pre-clamp tail and
@@ -101,10 +103,8 @@ class Ensemble:
 
     family() is the tilt family of the decoding statistic; its sigma2, m3
     and be_const are the h or d moments and the i.i.d. or non-identical
-    Berry-Esseen constant. tail(delta) is tail.pdelta or tail.ptdelta,
-    or with exact_only the exact law alone (which raises
-    tail.LatticeInfeasibleError past its budget). Both look the function
-    up when called, so a cached record never pins it.
+    Berry-Esseen constant. tail(delta) is tail.pdelta or tail.ptdelta; both
+    look the function up when called, so a cached record never pins it.
     """
     names: tuple        # (tail + union, tilted, central-limit) theorem names
     ch: object
@@ -119,9 +119,7 @@ class Ensemble:
             return nep.cond_entropy_family(self.ch)
         return nep.rel_entropy_family(self.ch, self.t)
 
-    def tail(self, delta, exact_only=False):
-        if exact_only:
-            return tail.lattice_tail(self.ch, self.t, delta, self.n)
+    def tail(self, delta):
         if self.t is None:
             return tail.pdelta(self.ch, delta, self.n)
         return tail.ptdelta(self.ch, self.t, delta, self.n)
@@ -144,16 +142,16 @@ def _ensemble(ch, t, n) -> Ensemble:
 # tail + union bound and its minimum over the deviation
 # ---------------------------------------------------------------------------
 
-def _tail_union(ens: Ensemble, rate, delta, exact_only=False) -> BoundResult:
+def _tail_union(ens: Ensemble, rate, delta) -> BoundResult:
     """f0 P(deviation > delta) + exp(-n (C - delta - R) + defect).
 
     delta may be negative: a threshold below the statistic's mean (thm1's
     exact optimum can sit there) or a rate above capacity (the
-    central-limit refinement, which asks for the exact tail only,
-    exact_only). The BiAWGN sandwich rejects delta <= 0 (nep.TiltRangeError).
+    central-limit refinement, on an exact law only). The BiAWGN sandwich
+    rejects delta <= 0 (nep.TiltRangeError).
     """
     n = ens.n
-    pd = ens.tail(delta, exact_only)
+    pd = ens.tail(delta)
     tail_term = ens.f0 * pd.pessimistic
     union = _exp(-n * (ens.capacity - delta - rate) + ens.defect)
     return BoundResult(
@@ -185,10 +183,10 @@ def _delta_grid(ens: Ensemble, rate):
     return np.geomspace(1e-6, hi, 64)
 
 
-@lru_cache(maxsize=4)  # as the exact laws it reads, one per key
 def _breakpoints(ens: Ensemble):
-    """(ln T_j, ln W_j, delta_j) per gap j between atoms of the n-letter
-    statistic, or None where it has no exact law within budget.
+    """(ln T_j, ln W_j, j -> delta_j) per gap j between atoms of the n-letter
+    statistic, read off its exact law record (tail.exact_law: T_j is its
+    cumulative tail at cut j), or None where it has none within budget.
 
     Tail + union at any threshold in gap j is at least f0 T_j + M W_j, and
     reaches (thm1) or tends to (thm3) it at delta_j. So its minimum over
@@ -201,9 +199,10 @@ def _breakpoints(ens: Ensemble):
     p(y) = p(x,y) e^S, so the jar's other words number
     E[(e^S - 1) 1{S <= thr}] on average (the paper bounds |jar| by e^thr):
     at most e^s per atom s > 0, none at s = 0, where p(x^n|y^n) = 1. Each
-    is a codeword w.p. 2^-n: W_j = 2^-n E[e^S 1{0 < S < s_j}], whose
-    minimum the BSC and BEC closed forms compute (the BEC's from t = 1).
-    delta_j puts n (H + delta) midway between the atoms.
+    is a codeword w.p. 2^-n: W_j = 2^-n E[e^S 1{0 < S < s_j}] (the record
+    holds the cumulative expectation), whose minimum the BSC and BEC closed
+    forms compute (the BEC's from t = 1). delta_j puts n (H + delta) midway
+    between the atoms.
 
     thm3, d_{j-1} <= thr < d_j: P(D <= thr) = T_j = P(D < d_j) and the
     union term M e^(-thr + defect) falls towards M W_j = M e^(-d_j + defect),
@@ -214,23 +213,23 @@ def _breakpoints(ens: Ensemble):
     times the tail readout's slack, and by at most half the gap to the
     atom below, so thm3_bound at delta_j has the row's tail term.
     """
-    if not isinstance(ens.ch, chn.DiscreteChannel):
+    record = tail.exact_law(ens.ch, ens.t, ens.n)
+    if record is None:
         return None
-    try:
-        law, centre = tail._lattice_distribution(ens.ch, ens.t, ens.n)
-    except tail.LatticeInfeasibleError:
-        return None
-    (atoms, log_p), gap, n = law.atoms(), law.step or 1.0, ens.n
-    if ens.t is None:  # T_0 = 1 exactly, whatever the sums' rounding
-        log_tail = np.r_[0.0, np.logaddexp.accumulate(log_p[::-1])[-2::-1], -np.inf]
-        charged = np.where(atoms > gap * 1e-9, log_p + atoms, -np.inf)
-        edges = np.r_[atoms[0] - gap, atoms, atoms[-1] + gap]
-        return (log_tail, np.r_[-np.inf, np.logaddexp.accumulate(charged)] - n * LN2,
-                0.5 * (edges[:-1] + edges[1:]) / n - centre)
-    thr = atoms - np.minimum(1e-7 * np.maximum(gap, atoms - law.offset),
-                             0.5 * np.diff(atoms, prepend=-np.inf))
-    log_tail = np.r_[-np.inf, np.logaddexp.accumulate(log_p)[:-1]]
-    return log_tail, ens.defect - atoms, centre - thr / n
+    (law, centre), n = record, ens.n
+    atom, gap, top = (lambda k: law.offset + law.points[k]), law.scale, law.points.size - 1
+    if ens.t is None:
+        def delta(j):
+            lo = atom(j - 1) if j > 0 else atom(0) - gap
+            return 0.5 * (lo + (atom(j) if j <= top else atom(top) + gap)) / n - centre
+
+        return law.log_tail, law.log_charged - n * LN2, delta
+
+    def delta(j):
+        below = 0.5 * (atom(j) - atom(j - 1)) if j > 0 else math.inf
+        return centre - (atom(j) - min(1e-7 * max(gap, atom(j) - law.offset), below)) / n
+
+    return law.log_tail[:-1], ens.defect - (law.offset + law.points), delta
 
 
 def _optimized(ens: Ensemble, bound, cp: CodeParams) -> BoundResult:
@@ -245,9 +244,9 @@ def _optimized(ens: Ensemble, bound, cp: CodeParams) -> BoundResult:
     log_tail, log_union = math.log(ens.f0) + bp[0], cp.log_m + bp[1]
     total = np.logaddexp(log_tail, log_union)
     j = int(np.argmax(total <= total.min() + 1e-12))
-    tail_term, union = float(np.exp(log_tail[j])), _exp(log_union[j])
+    tail_term, union = ens.f0 * min(math.exp(bp[0][j]), 1.0), _exp(log_union[j])  # as Law.tail
     return BoundResult(theorem=ens.names[0], n=cp.n, rate_nats=cp.rate,
-                       error_ub=min(1.0, tail_term + union), delta=float(bp[2][j]),
+                       error_ub=min(1.0, tail_term + union), delta=float(bp[2](j)),
                        tail_kind="exact", components=(tail_term, union))
 
 
@@ -472,11 +471,8 @@ def _clt_at_rate(ens: Ensemble, rate_nats, exact_tail=True) -> BoundResult:
     c = _clt_c_for_rate(ens, rate_nats)
     out = _central_limit(ens, c)
     out.rate_nats = rate_nats
-    if exact_tail and isinstance(ens.ch, chn.DiscreteChannel):
-        try:
-            exact = _tail_union(ens, rate_nats, out.delta, exact_only=True)
-        except tail.LatticeInfeasibleError:
-            return out
+    if exact_tail and tail.exact_law(ens.ch, ens.t, ens.n) is not None:
+        exact = _tail_union(ens, rate_nats, out.delta)
         exact.theorem, exact.lambda_or_c = out.theorem, c
         return exact
     return out
@@ -538,12 +534,13 @@ def _tail_union_at_rate(ch, t, n, rate, delta=None, **_):
 # and the capacity and variance of the row's information statistic.
 
 def _tail_union_rate_at_eps(ch, t, n, eps):
-    """The at-rate row, stepped down by doubling ulps until error_ub <= eps, at
-    the largest rate meeting eps: max_j ln((eps - f0 T_j) / W_j) / n on an
+    """The largest rate meeting eps: max_j ln((eps - f0 T_j) / W_j) / n on an
     exact law (capped at 10 nats: W_j = 0 takes any M), else the maximum of C -
-    delta + (ln(eps - f0 T(delta)) - defect)/n, searched on the widest grid."""
+    delta + (ln(eps - f0 T(delta)) - defect)/n, searched on the widest grid.
+    Returns the row at that rate (the breakpoint minimum, or tail + union at
+    the searched delta), stepped down by doubling ulps until error_ub <= eps."""
     ens = _ensemble(ch, t, n)
-    bp = _breakpoints(ens)
+    bp, delta = _breakpoints(ens), None
     if bp is not None:
         room = eps - ens.f0 * np.exp(bp[0])
         ok = room > 0
@@ -553,10 +550,11 @@ def _tail_union_rate_at_eps(ch, t, n, eps):
             room = eps - ens.f0 * ens.tail(d).pessimistic
             return math.inf if room <= 0 else d - ens.capacity - (math.log(room) - ens.defect) / n
 
-        rate = -float(golden_min(neg_rate, _delta_grid(ens, 0.0), 60)[1])
+        delta, neg = golden_min(neg_rate, _delta_grid(ens, 0.0), 60)
+        rate = -float(neg)
     ulps = 1
     while rate > 0:
-        res = _tail_union_at_rate(ch, t, n, rate)
+        res = _tail_union_at_rate(ch, t, n, rate, delta)
         if res.error_ub <= eps:
             return res, ens.capacity, ens.family().sigma2
         rate -= ulps * math.ulp(rate)

@@ -7,17 +7,21 @@ lattice step (binomial weights for a two-point row), else an enumeration
 of exact types (each count vector of a row's atoms with its multinomial
 weight, rows combined by outer sum), within a fixed state budget. The
 law depends on neither the deviation nor the rate, so it is built once
-per (channel, composition, n), memoised with the statistic's mean, and
-every deviation is one slice of it. Past the budget, and on
-continuous-output channels, the tail is the tilted-measure sandwich.
+per (channel, composition, n) into one record: the ascending atoms and
+the cumulative log mass of the deviation event's side at every cut
+between them (and, for the conditional-entropy sum, thm1's cumulative
+union weight), memoised with the statistic's mean, or None past the
+budget. Every deviation is one cut of it, found by a binary search, and
+one array read. Past the budget, and on continuous-output channels, the
+tail is the tilted-measure sandwich.
 
 Inequality conventions follow the two deviation events literally: the
 conditional-entropy event is a strict upper tail (borderline atoms stay
 in the decoding set), the relative-entropy event is a non-strict lower
 tail. Threshold comparisons get a slack toward the decoding set of 1e-9
-of the distance from the lowest point (in lattice steps, or in nats and
-at least 1e-9 off a lattice), so float noise cannot flip an atom. Type
-atoms closer than four slacks merge into the highest of them for an
+of the distance from the lowest atom (and at least 1e-9 of a lattice
+step, or of a nat off a lattice), so float noise cannot flip an atom.
+Type atoms closer than four slacks merge into the highest of them for an
 upper tail and the lowest for a lower one, which can only raise the tail.
 """
 
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from . import channel as chn
 from . import nep
@@ -81,27 +85,45 @@ class LatticeSpec:
 
 @dataclass(frozen=True)
 class Law:
-    """Exact law of an n-letter sum: log masses log_pmf at the points
-    offset + step k (a lattice) or, off a lattice, at offset + points
-    (ascending, non-negative; step None)."""
+    """Exact law of an n-letter sum, read from one side: atoms offset + points
+    (ascending, points from 0) and, at each cut k, the log mass log_tail[k]
+    of atoms k and above (an upper law) or below k, 0 for the whole law.
+    scale, the lattice step or 1, is the readout slack's unit. For thm1's
+    sum S, log_charged[k] = ln E[e^S 1{0 < S < atom k}]."""
     offset: float
-    step: float | None
-    log_pmf: np.ndarray
-    points: np.ndarray | None = None
+    scale: float
+    points: np.ndarray
+    log_tail: np.ndarray
+    log_charged: np.ndarray | None = None
 
-    def atoms(self):
-        """(values, log masses) of the points that carry mass, ascending."""
-        if self.points is not None:
-            return self.offset + self.points, self.log_pmf
-        live = self.log_pmf > -np.inf
-        return self.offset + self.step * np.flatnonzero(live), self.log_pmf[live]
+    @classmethod
+    def of_atoms(cls, offset, scale, points, log_p, up: bool, charged: bool = False) -> "Law":
+        """The record of atoms offset + points with log masses log_p, read
+        from above (up) or below; each sum accumulates atom by atom."""
+        if up:
+            log_tail = np.r_[0.0, np.logaddexp.accumulate(log_p[::-1])[-2::-1], -np.inf]
+        else:
+            log_tail = np.r_[-np.inf, np.logaddexp.accumulate(log_p)[:-1], 0.0]
+        log_charged = None
+        if charged:
+            atoms = offset + points
+            log_charged = np.r_[-np.inf, np.logaddexp.accumulate(
+                np.where(atoms > scale * 1e-9, log_p + atoms, -np.inf))]
+        for a in (points, log_tail, log_charged):
+            if a is not None:
+                a.setflags(write=False)
+        return cls(offset, scale, points, log_tail, log_charged)
 
-    def tail(self, threshold: float, side: str) -> TailEstimate:
-        """Exact P{sum > threshold} (side 'gt') or P{sum <= threshold} ('le')."""
-        log_tail = _tail_from_distribution(self.offset, self.step, self.log_pmf,
-                                           threshold, side, self.points)
-        value = math.exp(log_tail) if log_tail > -745.0 else 0.0
-        return TailEstimate(kind="exact", value=min(value, 1.0), log_value=log_tail)
+    def cut(self, threshold: float) -> int:
+        """Number of atoms at or below threshold, plus the slack."""
+        y = threshold - self.offset
+        return int(np.searchsorted(self.points, y + _SLACK * max(self.scale, abs(y)),
+                                   side="right"))
+
+    def tail(self, threshold: float) -> TailEstimate:
+        """Exact P{sum > threshold} (an upper law) or P{sum <= threshold}."""
+        log_tail = float(self.log_tail[self.cut(threshold)])
+        return TailEstimate(kind="exact", value=min(math.exp(log_tail), 1.0), log_value=log_tail)
 
 
 def _lattice_step(rows):
@@ -158,8 +180,9 @@ def _power_log(logp: np.ndarray, n: int) -> np.ndarray:
     return acc
 
 
-def _lattice_law(rows) -> Law:
-    """The law on the rows' common lattice, by log-domain convolution."""
+def _lattice_law(rows):
+    """(offset, step, points, log masses) of the atoms on the rows' common
+    lattice, by log-domain convolution."""
     step = _lattice_step(rows)
     offset = 0.0
     acc = np.array([0.0])
@@ -170,7 +193,8 @@ def _lattice_law(rows) -> Law:
             acc = _convolve_log(acc, _power_log(logp, cnt))
             if acc.size > _MAX_LATTICE_STATES:
                 raise LatticeInfeasibleError("lattice DP exceeded state budget")
-    return Law(offset, step, acc)
+    live = np.flatnonzero(acc > -np.inf)
+    return offset, step, step * live, acc[live]
 
 
 def _row_types(ls: LatticeSpec, count: int):
@@ -200,8 +224,9 @@ def _merge_types(points, log_w, up: bool):
     return points[keep], np.logaddexp.reduceat(log_w, starts)
 
 
-def _types_law(rows, up: bool) -> Law:
-    """The law enumerated by exact types, rows combined by outer sum."""
+def _types_law(rows, up: bool):
+    """(offset, 1, points, log masses) of the atoms enumerated by exact
+    types, rows combined by outer sum."""
     states = math.prod(math.comb(cnt + ls.values.size - 1, cnt) for ls, cnt in rows)
     if states > _MAX_LATTICE_STATES:
         raise LatticeInfeasibleError(
@@ -212,32 +237,17 @@ def _types_law(rows, up: bool) -> Law:
         offset += cnt * float(ls.values[0])
         points, log_w = _merge_types((points[:, None] + v).ravel(),
                                      (log_w[:, None] + w).ravel(), up)
-    return Law(offset, None, log_w, points)
+    return offset, 1.0, points, log_w
 
 
-def _sum_distribution(rows, up: bool = True) -> Law:
-    """Exact law of the total sum, on the rows' lattice or else by types (close
-    atoms merged up when up); LatticeInfeasibleError past the state budget."""
+def _sum_distribution(rows, up: bool, charged: bool = False) -> Law:
+    """Exact law of the total sum, read from above (up) or below, on the rows'
+    lattice or else by types; LatticeInfeasibleError past the state budget."""
     try:
-        return _lattice_law(rows)
+        atoms = _lattice_law(rows)
     except LatticeInfeasibleError:
-        return _types_law(rows, up)
-
-
-def _tail_from_distribution(offset, step, log_pmf, threshold, side, points=None):
-    """Log tail mass of the sum; side is 'gt' (strict) or 'le'."""
-    if points is not None:
-        y = threshold - offset
-        cut = int(np.searchsorted(points, y + _SLACK * max(1.0, abs(y)), side="right"))
-    else:
-        # index k corresponds to value offset + k*step; k <= x exactly when k < cut
-        kappa = (threshold - offset) / step
-        x = kappa + _SLACK * max(1.0, abs(kappa))
-        cut = 0 if x < 0 else log_pmf.size if x >= log_pmf.size else math.floor(x) + 1
-    part = log_pmf[cut:] if side == "gt" else log_pmf[:cut]
-    if part.size == log_pmf.size:
-        return 0.0  # the whole distribution, whatever its rounding
-    return float(logsumexp(part))  # -inf when empty
+        atoms = _types_law(rows, up)
+    return Law.of_atoms(*atoms, up, charged)
 
 
 def exact_tail_rows(rows, threshold: float, side: str = "gt") -> TailEstimate:
@@ -250,7 +260,7 @@ def exact_tail_rows(rows, threshold: float, side: str = "gt") -> TailEstimate:
     """
     if side not in ("gt", "le"):
         raise ValueError(f"side must be 'gt' or 'le', got {side!r}")
-    return _sum_distribution(rows, side == "gt").tail(threshold, side)
+    return _sum_distribution(rows, side == "gt").tail(threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -267,28 +277,22 @@ def _statistic_rows(ch: chn.DiscreteChannel, t, n: int):
             for g, c in zip(groups, counts)]
 
 
-def _centre(ch, t) -> float:
-    """Per-letter mean of the statistic: H(X|Y) (t None) or I(t;P)."""
-    return chn.cond_entropy(ch) if t is None else chn.mutual_info(ch, t)
-
-
-def _deviation_event(centre: float, t, delta: float, n: int):
-    """(threshold, side) of the deviation event of the n-letter sum."""
-    if t is None:
-        return n * (centre + delta), "gt"
-    return n * (centre - delta), "le"
-
-
-# One law per (channel, composition, n); channels hash by identity,
-# compositions by value. The rate curves walk one key at a time, and an
-# entry can hold as many states as the budget allows, so the memo stays
-# small. LatticeInfeasibleError is raised, not cached.
+# One record per (channel, composition, n), None past the state budget so
+# that a key is refused once; channels hash by identity, compositions by
+# value. The rate curves walk one key at a time, and an entry can hold as
+# many states as the budget allows, so the memo stays small.
 @lru_cache(maxsize=4)
-def _lattice_distribution(ch, t, n: int):
-    """(exact law, per-letter centre) of the n-letter sum, merged toward its tail."""
-    law = _sum_distribution(_statistic_rows(ch, t, n), up=t is None)
-    law.log_pmf.setflags(write=False)
-    return law, _centre(ch, t)
+def exact_law(ch, t, n: int):
+    """(exact law read from its event's side, per-letter centre H(X|Y) or
+    I(t;P)) of the n-letter deviation sum, or None (continuous output, or past
+    the budget)."""
+    if not isinstance(ch, chn.DiscreteChannel):
+        return None
+    try:
+        law = _sum_distribution(_statistic_rows(ch, t, n), up=t is None, charged=t is None)
+    except LatticeInfeasibleError:
+        return None
+    return law, chn.cond_entropy(ch) if t is None else chn.mutual_info(ch, t)
 
 
 def lattice_tail(ch: chn.DiscreteChannel, t: chn.InputType | None, delta: float,
@@ -297,8 +301,11 @@ def lattice_tail(ch: chn.DiscreteChannel, t: chn.InputType | None, delta: float,
     off the memoised exact law of the n-letter sum. Raises
     LatticeInfeasibleError when that law needs more than _MAX_LATTICE_STATES states.
     """
-    law, centre = _lattice_distribution(ch, t, n)
-    return law.tail(*_deviation_event(centre, t, delta, n))
+    record = exact_law(ch, t, n)
+    if record is None:
+        raise LatticeInfeasibleError(f"no exact law within {_MAX_LATTICE_STATES} states")
+    law, centre = record
+    return law.tail(n * (centre + delta) if t is None else n * (centre - delta))
 
 
 def pdelta(ch, delta: float, n: int) -> TailEstimate:
@@ -309,11 +316,8 @@ def pdelta(ch, delta: float, n: int) -> TailEstimate:
     every delta), else, past its state budget or for continuous-output
     channels, the tilted-measure sandwich.
     """
-    if isinstance(ch, chn.DiscreteChannel):
-        try:
-            return lattice_tail(ch, None, delta, n)
-        except LatticeInfeasibleError:
-            pass
+    if exact_law(ch, None, n) is not None:
+        return lattice_tail(ch, None, delta, n)
     return nep.tail_bounds(nep.cond_entropy_family(ch), delta, n)
 
 
@@ -325,9 +329,6 @@ def ptdelta(ch, t: chn.InputType, delta: float, n: int) -> TailEstimate:
     The same dispatch as pdelta; the exact law is built once per
     (channel, t, n) and reused for every delta.
     """
-    if isinstance(ch, chn.DiscreteChannel):
-        try:
-            return lattice_tail(ch, t, delta, n)
-        except LatticeInfeasibleError:
-            pass
+    if exact_law(ch, t, n) is not None:
+        return lattice_tail(ch, t, delta, n)
     return nep.tail_bounds(nep.rel_entropy_family(ch, t), delta, n)

@@ -215,7 +215,7 @@ class TestThm1LatticeMinimum:
         assert res.error_ub == pytest.approx(sum(res.components), rel=1e-15)
         assert res.delta > 1e-12
         at_delta = ach.thm1_bound(ch, ach.CodeParams(n, k=k), res.delta)
-        assert res.components[0] == pytest.approx(at_delta.components[0], rel=1e-12)
+        assert res.components[0] == at_delta.components[0]
         assert res.components[1] <= at_delta.components[1]
 
     def test_delta_below_the_centre_is_signed(self):
@@ -279,7 +279,7 @@ class TestThm1LatticeMinimum:
         assert res.error_ub == pytest.approx(best, rel=1e-10)
         assert res.error_ub == pytest.approx(1.7007e-07, rel=1e-4)
         at_delta = ach.thm1_bound(ch, ach.CodeParams(n, rate_nats=rate), res.delta)
-        assert at_delta.components[0] == pytest.approx(res.components[0], rel=1e-12)
+        assert at_delta.components[0] == res.components[0]
 
 
 def _merge(pairs):
@@ -364,8 +364,7 @@ class TestBreakpointReadout:
         assert res.tail_kind == "exact"
         assert res.error_ub == pytest.approx(best, rel=1e-12)
         at_delta = ach.thm3_bound(ch, cp, res.delta)
-        assert at_delta.components[0] == pytest.approx(res.components[0], rel=1e-12,
-                                                       abs=1e-300)
+        assert at_delta.components[0] == res.components[0]
         for delta in np.linspace(-0.5, 1.0, 25):
             assert res.error_ub <= ach.thm3_bound(ch, cp, delta).error_ub * (1 + 1e-12)
 
@@ -405,23 +404,18 @@ class TestBreakpointReadout:
         assert res.error_ub <= eps
         bound = ach.thm1_bound if t is None else ach.thm3_bound
         at_delta = bound(ch, ach.CodeParams(n, rate_nats=res.rate_nats, t=t), res.delta)
-        assert at_delta.components[0] == pytest.approx(res.components[0], rel=1e-12,
-                                                       abs=1e-300)
+        assert at_delta.components[0] == res.components[0]
 
     def test_thm3_threshold_stays_above_a_close_atom_below(self, monkeypatch):
         # types atoms 1e-8 apart: 1e-7 of the distance from the lowest atom
         # would put the threshold below both, so it moves by half the gap
         points = np.array([0.0, 1.0, 1.0 + 1e-8, 2.0])
-        law = tail.Law(0.0, None, np.log([0.1, 0.2, 0.3, 0.4]), points)
-        monkeypatch.setattr(tail, "_lattice_distribution", lambda *key: (law, 0.5))
+        law = tail.Law.of_atoms(0.0, 1.0, points, np.log([0.1, 0.2, 0.3, 0.4]), up=False)
+        monkeypatch.setattr(tail, "exact_law", lambda *key: (law, 0.5))
         ch, n = chn.zchannel(0.5), 4
         cp = ach.CodeParams(n, rate_nats=0.1, t=UNIF)
-        ach._breakpoints.cache_clear()
-        try:
-            log_tail, _, deltas = ach._breakpoints(ach._ensemble(ch, UNIF, n))
-            got = [ach.thm3_bound(ch, cp, d).components[0] for d in deltas]
-        finally:
-            ach._breakpoints.cache_clear()
+        log_tail, _, delta = ach._breakpoints(ach._ensemble(ch, UNIF, n))
+        got = [ach.thm3_bound(ch, cp, delta(j)).components[0] for j in range(log_tail.size)]
         assert got == pytest.approx([0.0, 0.1, 0.3, 0.6], rel=1e-12, abs=0.0)
         assert got == pytest.approx(np.exp(log_tail).tolist(), rel=1e-12, abs=0.0)
 
@@ -447,7 +441,7 @@ class TestEnsembleRecord:
 
         monkeypatch.setattr(chn, "mutual_info", counted)
         ach._ensemble.cache_clear()
-        tail._lattice_distribution.cache_clear()
+        tail.exact_law.cache_clear()
         res = ach.max_rate_at_eps(chn.zchannel(0.4), 200, 1e-3, "thm3", t=UNIF)
         assert res.error_ub <= 1e-3
         assert len(calls) < 100
@@ -770,12 +764,22 @@ class TestMaxRateAtEps:
         with pytest.raises(ach.InfeasibleRateError):
             ach.max_rate_at_eps(ch, 1000, 1e-6, "thm2p2")
 
-    def test_off_lattice_inversion(self):
+    def test_off_lattice_inversion(self, monkeypatch):
         # the BiAWGN tail is the tilted sandwich: the rate is searched over
-        # delta, then checked through the at-rate search
+        # delta, then checked by tail + union at the searched delta, with no
+        # search at the rate
+        calls = []
+        optimized = ach.thm1_optimized
+
+        def counted(*args):
+            calls.append(args)
+            return optimized(*args)
+
+        monkeypatch.setattr(ach, "thm1_optimized", counted)
         res = ach.max_rate_at_eps(chn.BiAwgn(1.0), 200, 1e-3, "thm1")
         assert res.rate_nats == pytest.approx(0.141572505111, rel=1e-9)
         assert res.error_ub <= 1e-3
+        assert calls == []
 
     def test_ee_matches_exponent_inversion(self):
         ch = chn.bsc(0.11)

@@ -151,9 +151,12 @@ class TestPdelta:
 
     def test_z_channel_dispatches_to_exact_types(self):
         # atoms 0, ln 3 and ln 1.5 share no lattice step
-        est = tail.pdelta(chn.zchannel(0.5), 0.05, 50)
+        ch = chn.zchannel(0.5)
+        with pytest.raises(tail.LatticeInfeasibleError):
+            tail._lattice_step(tail._statistic_rows(ch, None, 50))
+        est = tail.pdelta(ch, 0.05, 50)
         assert est.kind == "exact"
-        assert tail._lattice_distribution(chn.zchannel(0.5), None, 50)[0].step is None
+        assert tail.exact_law(ch, None, 50)[0].scale == 1.0
         assert 0.0 < est.value < 1.0
 
     def test_z_channel_equals_enumeration(self):
@@ -174,6 +177,23 @@ class TestPdelta:
             tail.lattice_tail(ch, None, 0.05, 130)
         est = tail.pdelta(ch, 0.05, 130)
         assert est == nep.tail_bounds(nep.cond_entropy_family(ch), 0.05, 130)
+
+    def test_infeasible_key_is_memoised(self, monkeypatch):
+        # the refusal is remembered: two deviations build the statistic rows once
+        ch = chn.DiscreteChannel([[0.6, 0.3, 0.1], [0.2, 0.3, 0.5]])
+        builds = []
+        statistic_rows = tail._statistic_rows
+
+        def counted(*args):
+            builds.append(args)
+            return statistic_rows(*args)
+
+        monkeypatch.setattr(tail, "_statistic_rows", counted)
+        tail.exact_law.cache_clear()
+        fam = nep.cond_entropy_family(ch)
+        for delta in (0.05, 0.08):
+            assert tail.pdelta(ch, delta, 130) == nep.tail_bounds(fam, delta, 130)
+        assert len(builds) == 1
 
     def test_biawgn_dispatches_to_sandwich(self):
         est = tail.pdelta(chn.BiAwgn(1.0), 0.05, 300)
@@ -276,27 +296,18 @@ class TestPowerLog:
             tail._power_log(np.log([0.5, 0.5]), 10 ** 7 + 1)
 
 
-def mask_readout(offset, step, log_pmf, threshold, side):
-    """Oracle: the tail as a boolean mask over every lattice index."""
-    kappa = (threshold - offset) / step
-    slack = 1e-9 * max(1.0, abs(kappa))
-    k = np.arange(log_pmf.size)
-    mask = (k > kappa + slack) if side == "gt" else (k <= kappa + slack)
-    if np.all(mask):
-        return 0.0
-    return float(logsumexp(log_pmf[mask]))
-
-
 class TestReadout:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), size=st.integers(2, 40), offset=st.floats(-50.0, 50.0),
            step=st.floats(1e-3, 10.0), side=st.sampled_from(["gt", "le"]))
-    def test_slice_equals_mask(self, data, size, offset, step, side):
+    def test_cut_equals_mask(self, data, size, offset, step, side):
+        # a lattice law with holes, read from either side
         mass = np.array(data.draw(st.lists(st.one_of(st.just(0.0), st.floats(0.01, 1.0)),
                                            min_size=size, max_size=size), label="mass"))
         assume(mass.sum() > 0)
-        with np.errstate(divide="ignore"):
-            log_pmf = np.log(mass / mass.sum())
+        live = np.flatnonzero(mass)
+        log_p = np.log(mass[live] / mass.sum())
+        law = tail.Law.of_atoms(offset, step, step * live, log_p, up=side == "gt")
         if data.draw(st.booleans(), label="near an atom"):
             # on the atom, within half the 1e-9 slack of it, or past the slack
             k = data.draw(st.integers(-3, size + 3), label="atom")
@@ -307,8 +318,50 @@ class TestReadout:
         else:
             index = data.draw(st.floats(-3.0, size + 3.0), label="index")
         threshold = offset + step * index
-        expect = mask_readout(offset, step, log_pmf, threshold, side)
-        assert tail._tail_from_distribution(offset, step, log_pmf, threshold, side) == expect
+        # oracle: a boolean mask over every atom
+        y = threshold - offset
+        below = law.points <= y + 1e-9 * max(step, abs(y))
+        assert law.cut(threshold) == np.count_nonzero(below)
+        got = law.tail(threshold).log_value
+        assert got == law.log_tail[np.count_nonzero(below)]
+        part = log_p[~below] if side == "gt" else log_p[below]
+        if part.size == live.size:
+            assert got == 0.0
+        else:
+            assert got == pytest.approx(float(logsumexp(part)), rel=1e-12, abs=1e-12)
+
+
+class TestLawRecord:
+    @pytest.mark.parametrize("ch, n", [(chn.zchannel(0.5), 1000), (chn.bsc(0.11), 6000)],
+                             ids=["z-types", "bsc-lattice"])
+    def test_cumulative_sums_match_longdouble(self, ch, n):
+        # every entry within 1e-12 (in log) of a longdouble cumsum of the
+        # builder's masses, shifted by the middle of their range so that none
+        # under- or overflows
+        rows = tail._statistic_rows(ch, None, n)
+        try:
+            offset, scale, points, log_p = tail._lattice_law(rows)
+        except tail.LatticeInfeasibleError:
+            offset, scale, points, log_p = tail._types_law(rows, up=True)
+        law, _ = tail.exact_law(ch, None, n)
+        assert np.array_equal(law.points, points)
+
+        def log_cumsum(log_terms):
+            finite = log_terms[log_terms > -np.inf]
+            shift = 0.5 * (finite.max() + finite.min())
+            with np.errstate(divide="ignore"):
+                return np.log(np.cumsum(np.exp(log_terms.astype(np.longdouble) - shift))) + shift
+
+        expect = log_cumsum(log_p[::-1])[::-1]  # P(S >= atom k), k = 0 .. m - 1
+        assert (law.log_tail[0], law.log_tail[-1]) == (0.0, -np.inf)  # set, not summed
+        assert np.max(np.abs(law.log_tail[1:-1] - expect[1:])) <= 1e-12
+        # thm1's union weight sums terms of logs up to 1.4e3 (Z) and 4.2e3
+        # (BSC), each rounded to their float spacing: measured 1.8e-11, 1.1e-11
+        atoms = offset + points
+        charged = log_cumsum(np.where(atoms > scale * 1e-9, log_p + atoms, -np.inf))
+        live = charged > -np.inf
+        assert np.all(law.log_charged[1:][~live] == -np.inf)
+        assert np.max(np.abs(law.log_charged[1:][live] - charged[live])) <= 1e-10
 
 
 class TestTypesLaw:
@@ -340,14 +393,14 @@ class TestTypesLaw:
                      "near": atoms[j] + sign * 1e-12 * max(1.0, abs(atoms[j])),
                      "off": atoms[j] + sign * 1e-6,
                      "between": 0.5 * (atoms[j] + atoms[min(j + 1, atoms.size - 1)])}[where]
-        law = tail._types_law(rows, up=side == "gt")
-        assert law.tail(threshold, side).value == pytest.approx(
+        law = tail.Law.of_atoms(*tail._types_law(rows, up=side == "gt"), up=side == "gt")
+        assert law.tail(threshold).value == pytest.approx(
             enumerate_tail(None, None, n, threshold, side, letters), rel=1e-12, abs=1e-12)
         try:
             tail._lattice_step(rows)
         except tail.LatticeInfeasibleError:
             # off a lattice the memoised law of the family's own event is the types law
-            centre = tail._centre(ch, t)
+            centre = tail.exact_law(ch, t, n)[1]
             delta = threshold / n - centre if t is None else centre - threshold / n
             own = "gt" if t is None else "le"
             got = tail.lattice_tail(ch, t, delta, n)
@@ -379,7 +432,7 @@ class TestTypesLaw:
 
 
 class TestLatticeMemo:
-    """One lattice distribution per (channel, composition, n)."""
+    """One exact law record per (channel, composition, n)."""
 
     # several block lengths on one channel, so entries are shared, missed
     # and evicted in one sequence
@@ -413,7 +466,7 @@ class TestLatticeMemo:
             return power_log(logp, n)
 
         monkeypatch.setattr(tail, "_power_log", counted)
-        tail._lattice_distribution.cache_clear()
+        tail.exact_law.cache_clear()
         ch = chn.zchannel(0.5)
         for rate_bits in (0.15, 0.25):
             res = ach.thm3_optimized(

@@ -16,9 +16,13 @@ Then single rows that those miss: the BSC and BEC closed forms at an
 exact M and at ln M, with and without --dt-variant; the Z closed form
 at --k; thm1 at a given --delta; thm1 on the Z channel, whose tail is
 read off its exact types, alone, beside thm3 and along n = 200..3000;
-thm3 at a rate whose optimum lies at delta <= 0; and the
+thm3 at a rate whose optimum lies at delta <= 0; the
 fixed-composition simulation at a given --delta and the random
-tie-break simulation.
+tie-break simulation; the BiAWGN thm1 rate at eps, checked at the
+searched delta; the Z channel's types readout at a given --delta, from
+above (thm1) and from below (thm3); and `nep` and thm1 on a `file:`
+channel whose exact law is past the state budget at n = 130 (the file
+is written into the temporary directory).
 """
 
 import os
@@ -34,7 +38,7 @@ import workloads  # noqa: E402
 BOUNDS = "thm2p1,thm2p2,thm4p1,thm4p2,thm3,ee"
 
 
-def commands():
+def commands(tmp: Path):
     for name in workloads.WORKLOADS:
         for seed in (1, 2, 3):
             yield list(workloads.make(name, seed).argv)
@@ -67,6 +71,16 @@ def commands():
            "--n", "8", "--k", "2", "--trials", "5000", "--seed", "3", "--delta", "1e-6"]
     yield ["simulate", "--channel", "bsc:0.11", "--ensemble", "gallager", "--n", "12",
            "--k", "3", "--trials", "5000", "--seed", "3", "--tie-break", "random"]
+    yield ["compare", "--channel", "biawgn:0", "--eps", "1e-3", "--n", "200:600:200",
+           "--bounds", "thm1"]
+    for row in (["--theorem", "thm1"], ["--type", "0.5,0.5", "--theorem", "thm3"]):
+        yield ["bound", "--channel", "z:0.5", *row, "--n", "200", "--k", "40",
+               "--delta", "0.05"]
+    channel = tmp / "channel.txt"
+    channel.write_text("discrete 2 3\n0.6 0.3 0.1\n0.2 0.3 0.5\n", encoding="utf-8")
+    yield ["nep", "--channel", f"file:{channel}", "--n", "130", "--delta", "0.02:0.2:0.02"]
+    yield ["bound", "--channel", f"file:{channel}", "--theorem", "thm1", "--n", "130",
+           "--k", "20"]
 
 
 def start(src: Path, argv, cwd):
@@ -95,7 +109,7 @@ def main(argv) -> int:
         for cwd in cwds:
             cwd.mkdir()
         differ = 0
-        for cmd in commands():
+        for cmd in commands(Path(tmp)):
             procs = [start(parent / "src", cmd, cwds[0]), start(ROOT / "src", cmd, cwds[1])]
             old, new = (finish(p) for p in procs)
             fields = [name for name, a, b in zip(("stdout", "stderr", "exit"), old, new)
