@@ -14,8 +14,9 @@ families all read its groups.
 
 All information quantities are in nats. Expectations run over the support
 of the joint law and of the composition, so zero transition probabilities
-and unused inputs contribute nothing. BiAWGN expectations use a fixed
-199-point Gauss-Hermite rule.
+and unused inputs contribute nothing. BiAWGN expectations use the rule of
+the tilted laws at zero tilt: 16-point Gauss-Legendre panels of width
+0.5 over the output's mean plus or minus 12.
 """
 
 import math
@@ -24,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .numkit import LOG_SQRT_2PI, central_moments, gauss_hermite
+from .numkit import LOG_SQRT_2PI, central_moments, composite_gauss_legendre
 
 _ROW_SUM_TOL = 1e-12
 
@@ -278,9 +279,10 @@ class StatGroup:
     """The law of the statistic given one input, and that input's weight.
 
     probs/values are its atoms: exact on a discrete channel, and on
-    BiAwgn the Gauss-Hermite nodes of the output's unit-variance Gaussian
-    at `centre`. There value_fn(y) is the statistic at output y, for
-    integrands the fixed nodes do not resolve (the tilted laws).
+    BiAwgn the composite Gauss-Legendre nodes on centre +- 12, weighted by
+    the output's unit-variance Gaussian at `centre`. There value_fn(y) is
+    the statistic at output y, for integrands the fixed nodes do not
+    resolve (the tilted laws).
     """
     weight: float
     probs: np.ndarray
@@ -290,9 +292,9 @@ class StatGroup:
 
 
 def _gaussian_group(weight: float, centre: float, value_fn) -> StatGroup:
-    rule = gauss_hermite()
-    return StatGroup(weight, rule.gaussian_weights,
-                     value_fn(rule.gaussian_nodes(mean=centre)), centre, value_fn)
+    y, w = composite_gauss_legendre(centre - 12.0, centre + 12.0, panel_width=0.5, points=16)
+    probs = w * np.exp(-0.5 * (y - centre) ** 2)
+    return StatGroup(weight, probs / probs.sum(), value_fn(y), centre, value_fn)
 
 
 def statistic(ch: ChannelModel, t: InputType | None = None) -> list:

@@ -12,9 +12,9 @@ that pessimistic convention keeps the empirical rate on the bounded
 side of the union event.
 
 Randomness comes from the counter-based Philox generator keyed by
-(seed, shard index), one generator per block of 4096 trials. Each trial
-is drawn as a single trial would be, and each slice of a shard's trials
-is then decoded at once in numpy; the output depends only on (seed,
+(seed, shard index), one generator per block of 1024 trials. A shard
+draws each kind of random value in one call, and each slice of its
+trials is decoded at once in numpy; the output depends only on (seed,
 trials), not on the slice size.
 """
 
@@ -29,8 +29,8 @@ from .numkit import philox_rng, q_inv
 GALLAGER_N_CAP = 24
 FIXED_TYPE_N_CAP = 20
 FIXED_TYPE_BOOK_CAP = 2 ** 12
-_SHARD = 4096
-_SLICE_CELLS = 1 << 16     # codeword letters drawn and decoded together
+_SHARD = 1024
+_SLICE_CELLS = 1 << 16     # codeword letters decoded together
 _JAR_SLACK = 1e-12
 _TIE_BREAKS = ("pessimistic", "random")
 _WILSON_Z99 = q_inv(0.005)
@@ -47,19 +47,6 @@ def wilson_interval(hits: int, trials: int):
     center = (phat + z2 / (2 * trials)) / denom
     half = z * math.sqrt(phat * (1 - phat) / trials + z2 / (4 * trials * trials)) / denom
     return max(0.0, center - half), min(1.0, center + half)
-
-
-@dataclass(frozen=True)
-class GallagerCode:
-    """A sampled parity-check code with its null space enumerated."""
-    n: int
-    k: int
-    parity: np.ndarray            # (n-k) x n binary matrix
-    codewords: tuple              # sorted ints, bit 0 of the word = x_1 (MSB-first)
-
-    @property
-    def rank(self) -> int:
-        return self.n - int(math.log2(len(self.codewords)))
 
 
 @dataclass(frozen=True)
@@ -85,58 +72,6 @@ class FixedTypeSpec:
     t: chn.InputType
 
 
-def _rref_nullspace(rows, n):
-    """Null space of a GF(2) matrix given as bit-row ints (x_1 is the MSB)."""
-    rows = [r for r in rows]
-    pivots = []
-    r = 0
-    for col in range(n):
-        bit = 1 << (n - 1 - col)
-        pivot = next((i for i in range(r, len(rows)) if rows[i] & bit), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i] & bit:
-                rows[i] ^= rows[r]
-        pivots.append(col)
-        r += 1
-    free_cols = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free_cols:
-        vec = 1 << (n - 1 - fc)
-        for i, pc in enumerate(pivots):
-            if rows[i] & (1 << (n - 1 - fc)):
-                vec |= 1 << (n - 1 - pc)
-        basis.append(vec)
-    return basis
-
-
-def _enumerate_nullspace(basis):
-    words = [0]
-    for b in basis:
-        words += [w ^ b for w in words]
-    words.sort()
-    return words
-
-
-def sample_gallager(n: int, k: int, seed: int,
-                    rng: np.random.Generator | None = None) -> GallagerCode:
-    """Draw a parity-check matrix with i.i.d. fair bits and enumerate its null space."""
-    if not 1 <= k < n <= GALLAGER_N_CAP:
-        raise ValueError(f"need 1 <= k < n <= {GALLAGER_N_CAP}, got n={n}, k={k}")
-    if rng is None:
-        rng = philox_rng(seed, 0)
-    bits = rng.integers(0, 2, size=(n - k, n), dtype=np.int64)
-    weights = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
-    rows = [int(r) for r in bits @ weights]
-    basis = _rref_nullspace(rows, n)
-    words = _enumerate_nullspace(basis)
-    parity = bits.copy()
-    parity.setflags(write=False)
-    return GallagerCode(n=n, k=k, parity=parity, codewords=tuple(words))
-
-
 def _words_to_bits(words, n):
     """Letters (..., n) of packed words, x_1 first."""
     arr = np.asarray(words, dtype=np.int64)
@@ -146,29 +81,14 @@ def _words_to_bits(words, n):
     return bits
 
 
-def _gf2_rank(rows):
-    """Rank of GF(2) bit-row ints, by insertion keyed on each row's leading bit."""
-    basis = [0] * (GALLAGER_N_CAP + 1)     # indexed by leading-bit position
-    rank = 0
-    for r in rows:
-        while r:
-            top = r.bit_length()
-            if not basis[top]:
-                basis[top] = r
-                rank += 1
-                break
-            r ^= basis[top]
-    return rank
-
-
-def _nullspaces(rows, n):
-    """Sorted null space of every trial's parity rows, grouped by dimension.
+def _eliminate(rows, n):
+    """Null-space basis of every trial's parity rows, by one elimination.
 
     rows is a (trials, n-k) array of bit-row ints (x_1 is the MSB).
     Gauss-Jordan elimination runs over all trials at once, one column per
-    step. Yields (trial indices, words) per null-space dimension d, with
-    words of shape (len(indices), 2**d) sorted as `_enumerate_nullspace`
-    sorts them.
+    step. Returns (basis, free), both (trials, n): free marks the columns
+    without a pivot, and at a free column f basis holds the null-space
+    vector with bit f and no other free bit.
     """
     rows = rows.T.copy()                          # (n-k, trials)
     trials = np.arange(rows.shape[1])
@@ -191,6 +111,16 @@ def _nullspaces(rows, n):
     # free column f: its own bit plus the pivot bit of every row that has bit f
     basis = col_bits + np.stack(
         [((reduced >> (n - 1 - f)) & 1) @ col_bits for f in range(n)], axis=1)
+    return basis, free
+
+
+def _nullspaces(basis, free):
+    """Sorted null space of every trial of an `_eliminate` result.
+
+    Yields (trial indices, words) per null-space dimension d, with words
+    of shape (len(indices), 2**d) in ascending order, the all-zero word
+    first.
+    """
     dims = free.sum(axis=1)
     for d in np.unique(dims):
         idx = np.flatnonzero(dims == d)
@@ -202,36 +132,42 @@ def _nullspaces(rows, n):
         yield idx, words
 
 
-@dataclass(frozen=True)
-class JarOutcome:
-    decoded: int | None   # index into the codebook, None on error
-    error: bool
-    tie: bool
+def _draw_shard(ch, spec, size, rng):
+    """Draw a shard's codes, message indices and noise, one call per kind.
 
-
-def jar_decode(ch, y, delta: float, jar_kind, codebook_bits: np.ndarray,
-               transmitted: int) -> JarOutcome:
-    """Threshold-set decoding of one received word.
-
-    jar_kind is ("cond_entropy",) for the parity-check decoder (metric
-    threshold H(X|Y) + delta) or ("rel_entropy", t) for the
-    fixed-composition decoder (threshold -I(t;P) + delta, strict).
-    Success requires the transmitted word to be the only codeword in the
-    set; any tie counts as an error (the pessimistic convention, matching
-    the union event the bounds control). This is the one-trial case of the
-    decoder `simulate_pe` runs on whole slices.
+    A parity-check shard draws its parity rows first, since its message
+    space (the null space less the all-zero word) needs the rank, and its
+    code is the `_eliminate` result. A fixed-composition shard's code is
+    None: `_slice_books` draws its codebooks after the noise.
     """
-    scores = _letter_scores(ch, jar_kind)(np.asarray(y)[None])
-    inside, differs = _jar_sets(scores, np.asarray(codebook_bits)[None],
-                                np.array([transmitted]), *_jar_limit(ch, jar_kind, delta))
-    inside, differs = inside[0], differs[0]
-    member_idx = np.flatnonzero(inside)
-    if not inside[transmitted]:
-        return JarOutcome(decoded=int(member_idx[0]) if member_idx.size else None,
-                          error=True, tie=False)
-    if not differs[member_idx].any():
-        return JarOutcome(decoded=transmitted, error=False, tie=False)
-    return JarOutcome(decoded=None, error=True, tie=True)
+    n, k = spec.n, spec.k
+    code = None
+    if isinstance(spec, GallagerSpec):
+        code = _eliminate(rng.integers(0, 1 << n, size=(size, n - k)), n)
+        sent = rng.integers(1, 1 << code[1].sum(axis=1))
+    else:
+        sent = rng.integers(0, 1 << k, size=size)
+    return code, sent, _noise_draw(ch, rng)(size=(size, n))
+
+
+def _slice_books(spec, code, lo, hi, rng):
+    """Codebooks of a shard's trials lo..hi-1, as (trial indices, letters)
+    batches of one codebook size.
+
+    Fixed-composition codebooks are drawn here, each codeword a
+    permutation of the type's symbols; `permuted` shuffles lane by lane,
+    so the draws do not depend on how trials are split into slices.
+    """
+    n = spec.n
+    if code is None:
+        counts = spec.t.counts(n)
+        letters = np.arange(len(counts), dtype=np.min_scalar_type(len(counts) - 1))
+        yield np.arange(lo, hi), rng.permuted(
+            np.broadcast_to(np.repeat(letters, counts), (hi - lo, 1 << spec.k, n)), axis=-1)
+        return
+    basis, free = code
+    for idx, words in _nullspaces(basis[lo:hi], free[lo:hi]):
+        yield lo + idx, _words_to_bits(words, n)
 
 
 def _letter_scores(ch, jar_kind):
@@ -298,65 +234,16 @@ def _noise_draw(ch, rng):
     return rng.random if isinstance(ch, chn.DiscreteChannel) else rng.standard_normal
 
 
-def _sample_fixed_type(t: chn.InputType, n: int, size: int, rng):
-    """size codewords drawn uniformly from the composition class of t."""
-    counts = t.counts(n)
-    symbols = np.repeat(np.arange(len(counts)), counts).astype(np.int64)
-    book = np.empty((size, n), dtype=np.int64)
-    for i in range(size):
-        book[i] = rng.permutation(symbols)
-    return book
-
-
-def _draw_slice(ch, spec, size, rng):
-    """Draw `size` trials, each in the order of a single trial.
-
-    Per trial: the code (the parity bits, or the codebook's permutations),
-    the message index, then the noise. The parity-check message space
-    excludes the all-zero word, and its size needs the rank, so the rank
-    is the one thing computed inside the loop. Returns the codebooks as
-    (trial indices, letters) batches of one codebook size, the message
-    indices and the noise.
-    """
-    n, k = spec.n, spec.k
-    draw_noise = _noise_draw(ch, rng)
-    sent = np.empty(size, dtype=np.int64)
-    noise = np.empty((size, n))
-    if isinstance(spec, GallagerSpec):
-        weights = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
-        rows = np.empty((size, n - k), dtype=np.int64)
-        for i in range(size):
-            rows[i] = rng.integers(0, 2, size=(n - k, n), dtype=np.int64) @ weights
-            sent[i] = rng.integers(1, 1 << (n - _gf2_rank(rows[i].tolist())))
-            draw_noise(out=noise[i])
-        return _gallager_books(rows, n), sent, noise
-    books = np.empty((size, 1 << k, n), dtype=np.min_scalar_type(len(spec.t.probs) - 1))
-    for i in range(size):
-        books[i] = _sample_fixed_type(spec.t, n, 1 << k, rng)
-        sent[i] = rng.integers(0, 1 << k)
-        draw_noise(out=noise[i])
-    return [(np.arange(size), books)], sent, noise
-
-
-def _gallager_books(rows, n):
-    """The sorted null-space codebooks of a slice, at most _SLICE_CELLS letters a batch."""
-    for idx, words in _nullspaces(rows, n):
-        step = max(1, _SLICE_CELLS // words[0].size // n)
-        for lo in range(0, idx.size, step):
-            yield idx[lo:lo + step], _words_to_bits(words[lo:lo + step], n)
-
-
 def simulate_pe(ch, spec, delta: float, trials: int, seed: int,
                 tie_break: str = "pessimistic") -> SimReport:
     """Empirical word-error rate of the ensemble under threshold-set decoding.
 
     Every trial draws a fresh code, a fresh message (the all-zero word is
-    excluded from the parity-check message space) and fresh noise. Each
-    shard draws its trials in slices of about _SLICE_CELLS codeword
-    letters and decodes a slice at once. Under tie_break="random" a tied
-    trial's pick is drawn from the shard's generator after all of the
-    shard's trials, in trial order, so the trials themselves are those of
-    a pessimistic run at the same seed.
+    excluded from the parity-check message space) and fresh noise, by
+    `_draw_shard` and `_slice_books`, and slices of about _SLICE_CELLS
+    codeword letters are decoded at once. Under tie_break="random" the
+    tied trials' picks are drawn in one call after all of a shard's
+    trials, so the trials are those of a pessimistic run at the same seed.
     """
     if trials < 1000:
         raise ValueError("use at least 1000 trials")
@@ -384,11 +271,10 @@ def simulate_pe(ch, spec, delta: float, trials: int, seed: int,
     for shard, start in enumerate(range(0, trials, _SHARD)):
         rng = philox_rng(seed, shard)
         m = min(_SHARD, trials - start)
-        tied = []             # per tied trial, whether each set member is wrong
+        code, sent, noise = _draw_shard(ch, spec, m, rng)
+        tied = {}             # per tied trial, whether each set member is wrong
         for lo in range(0, m, per_slice):
-            batches, sent, noise = _draw_slice(ch, spec, min(per_slice, m - lo), rng)
-            slice_tied = {}
-            for idx, books in batches:
+            for idx, books in _slice_books(spec, code, lo, min(m, lo + per_slice), rng):
                 at = np.arange(idx.size)
                 tx = sent[idx]
                 ys = _transmit(ch, books[at, tx], noise[idx])
@@ -399,10 +285,11 @@ def simulate_pe(ch, spec, delta: float, trials: int, seed: int,
                 ties += int(np.count_nonzero(tie))
                 if tie_break == "random":
                     for j in np.flatnonzero(tie):
-                        slice_tied[idx[j]] = differs[j][inside[j]]
-            tied += [slice_tied[i] for i in sorted(slice_tied)]
-        for wrong in tied:
-            wrong_picks += bool(wrong[rng.integers(0, wrong.size)])
+                        tied[idx[j]] = differs[j][inside[j]]
+        if tied:
+            wrong = [tied[i] for i in sorted(tied)]
+            picks = rng.integers(0, [w.size for w in wrong])
+            wrong_picks += sum(bool(w[p]) for w, p in zip(wrong, picks))
     errors = missed + (ties if tie_break == "pessimistic" else wrong_picks)
     lo, hi = wilson_interval(errors, trials)
     return SimReport(trials=trials, errors=errors, ties_broken=ties,

@@ -8,7 +8,6 @@ lengths where raw probabilities underflow.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -182,33 +181,6 @@ def philox_rng(seed: int, index: int) -> np.random.Generator:
     """
     key = np.array([seed % (2 ** 64), index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Gauss-Hermite rule: integrates f against exp(-x^2) on the line."""
-    nodes: np.ndarray
-    weights: np.ndarray
-    order: int
-
-    def gaussian_nodes(self, mean: float = 0.0, std: float = 1.0) -> np.ndarray:
-        """Nodes mapped so the rule integrates against N(mean, std^2)."""
-        return mean + std * _SQRT2 * self.nodes
-
-    @property
-    def gaussian_weights(self) -> np.ndarray:
-        """Weights normalized to sum to 1 (probability measure)."""
-        return self.weights / math.sqrt(math.pi)
-
-
-@lru_cache(maxsize=32)
-def gauss_hermite(order: int = 199) -> QuadratureRule:
-    """Gauss-Hermite rule of the given order (exact to degree 2*order-1)."""
-    from scipy.special import roots_hermite
-    x, w = roots_hermite(order)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return QuadratureRule(nodes=x, weights=w, order=order)
 
 
 @lru_cache(maxsize=128)

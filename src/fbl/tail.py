@@ -190,7 +190,9 @@ def _lattice_law(rows):
         base, logp = _row_pmf_on_lattice(ls, step)
         offset += cnt * base
         if logp.size > 1:
-            acc = _convolve_log(acc, _power_log(logp, cnt))
+            power = _power_log(logp, cnt)
+            # a one-point law convolves as a shift, logaddexp(-inf, x) = x
+            acc = _convolve_log(acc, power) if acc.size > 1 else acc[0] + power
             if acc.size > _MAX_LATTICE_STATES:
                 raise LatticeInfeasibleError("lattice DP exceeded state budget")
     live = np.flatnonzero(acc > -np.inf)

@@ -178,18 +178,14 @@ def test_criterion_7_simulation_soundness():
     detail.append(f"z {rep.empirical_pe:.4f}<={bound:.4f}")
 
     # codeword-law uniformity over the nonzero words, 0.1% significance
+    # (transmitted codewords drawn as simulate_pe draws them)
     counts = np.zeros(256, dtype=np.int64)
-    done = 0
-    shard_idx = 0
-    while done < trials:
-        m = min(4096, trials - done)
-        rng = philox_rng(99, shard_idx)
-        for _ in range(m):
-            code = mc.sample_gallager(8, 4, 99, rng=rng)
-            q = int(rng.integers(1, len(code.codewords)))
-            counts[code.codewords[q]] += 1
-        done += m
-        shard_idx += 1
+    for shard, start in enumerate(range(0, trials, mc._SHARD)):
+        m = min(mc._SHARD, trials - start)
+        (basis, free), sent, _ = mc._draw_shard(chn.bsc(0.11), mc.GallagerSpec(8, 4), m,
+                                                philox_rng(99, shard))
+        for idx, words in mc._nullspaces(basis, free):
+            np.add.at(counts, words[np.arange(idx.size), sent[idx]], 1)
     expect = trials / 255.0
     stat = float(((counts[1:] - expect) ** 2 / expect).sum())
     crit = float(chi2.isf(0.001, 254))

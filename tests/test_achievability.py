@@ -11,7 +11,7 @@ from scipy.stats import binom
 
 from fbl import achievability as ach
 from fbl import channel as chn
-from fbl import nep, tail
+from fbl import tail
 from fbl.numkit import q_inv
 
 LN2 = math.log(2.0)
@@ -830,6 +830,21 @@ def _capacity(ch, t):
     return chn.linear_capacity(ch) if t is None else chn.mutual_info(ch, t)
 
 
+def _largest_rate(name, ch, t, n):
+    """The row's largest feasible rate, at most 1.1 times capacity: the peak
+    of the tilted-form rate on `_tilted_at_rate`'s grid, or the central-limit
+    rate at the smallest c `_clt_c_for_rate` searches."""
+    ens = ach._ensemble(ch, t, n)
+    parameter = ach.THEOREMS[name].parameter
+    top = 1.1 * _capacity(ch, t)
+    if parameter == "delta":
+        rate, lam_hi = ach._tilted_rate_curve(ens)
+        return min(top, max(rate(lam) for lam in np.geomspace(1e-6, lam_hi, 128)))
+    if parameter == "c":
+        return min(top, ach._clt_rate(ens, -0.9 * ens.family().sigma2 * math.sqrt(n)))
+    return top
+
+
 def _tail_union(name, ch, n, rate, t, delta):
     bound = ach.thm1_bound if ach.THEOREMS[name].ensemble == "parity" else ach.thm3_bound
     return bound(ch, ach.CodeParams(n, rate_nats=rate, t=t), delta)
@@ -844,10 +859,11 @@ class TestTheoremTable:
     def test_error_in_unit_interval_and_nondecreasing_in_rate(self, name, data):
         ch, t, n = _table_case(name, data)
         lo = data.draw(st.floats(0.05, 1.0), label="lo")
-        hi = data.draw(st.floats(lo, 1.1), label="hi")
-        cap = _capacity(ch, t)
+        hi = data.draw(st.floats(lo, 1.0), label="hi")
+        top = _largest_rate(name, ch, t, n)
+        assume(top > 0)
         try:
-            errs = [ach.bound_at_rate(name, ch, n, f * cap, t=t,
+            errs = [ach.bound_at_rate(name, ch, n, f * top, t=t,
                                       exact_tail=False).error_ub for f in (lo, hi)]
         except ach.InfeasibleRateError:
             assume(False)
@@ -865,7 +881,8 @@ class TestTheoremTable:
         # is no looser than the analytic row. Not being a minimum over
         # delta, it need not be monotone in the rate.
         ch, t, n = _table_case(name, data)
-        rate = data.draw(st.floats(0.05, 1.1), label="frac") * _capacity(ch, t)
+        rate = data.draw(st.floats(0.05, 1.0), label="frac") * _largest_rate(name, ch, t, n)
+        assume(rate > 0)
         try:
             res = ach.bound_at_rate(name, ch, n, rate, t=t)
         except ach.InfeasibleRateError:
@@ -896,10 +913,11 @@ class TestTheoremTable:
     @settings(max_examples=15, deadline=None)
     @given(data=st.data())
     def test_tail_plus_union_below_tilted_form(self, name, data):
+        # the delta the row reports at a rate below its largest
         ch, t, n = _table_case(name, data)
-        fam = (nep.cond_entropy_family(ch) if t is None
-               else nep.rel_entropy_family(ch, t))
-        delta = data.draw(st.floats(0.01, 0.9), label="frac") * fam.delta_star()
+        rate = data.draw(st.floats(0.05, 1.0), label="frac") * _largest_rate(name, ch, t, n)
+        assume(rate > 0)
+        delta = ach.bound_at_rate(name, ch, n, rate, t=t).delta
         tilted = ach.bound_at_rate(name, ch, n, None, t=t, delta=delta)
         assume(tilted.rate_nats > 0)
         direct = _tail_union(name, ch, n, tilted.rate_nats, t, delta)

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from fbl import channel as chn
-from fbl.numkit import gauss_hermite
 
 LN2 = math.log(2.0)
 
@@ -103,13 +104,33 @@ class TestLinearCapacity:
         assert cap_bits == pytest.approx(0.4847, abs=2e-3)
 
     def test_biawgn_quadrature_convergence(self):
-        # the library's rule against one of twice the order: -ln p(0|y) is
-        # softplus(-2 a y) with y ~ N(a, 1)
-        rule = gauss_hermite(398)
+        # the library's rule against a 250-point Gauss-Hermite rule:
+        # -ln p(0|y) is softplus(-2 a y) with y ~ N(a, 1)
+        x, w = np.polynomial.hermite.hermgauss(250)
         a = 1.0
-        y = rule.gaussian_nodes(mean=a)
-        h2 = float(rule.gaussian_weights @ np.logaddexp(0.0, -2.0 * a * y))
+        y = a + math.sqrt(2.0) * x
+        h2 = float(w @ np.logaddexp(0.0, -2.0 * a * y)) / math.sqrt(math.pi)
         assert abs(chn.cond_entropy(chn.BiAwgn(a ** 2)) - h2) < 1e-9
+
+    @pytest.mark.parametrize("snr_db", [0, 1])
+    def test_biawgn_third_moment_matches_adaptive_quadrature(self, snr_db):
+        # E|v - H|^3 has a kink where v(y) = H; adaptive quadrature split
+        # there integrates both smooth halves
+        ch = chn.BiAwgn(10 ** (snr_db / 10))
+        a = ch.amplitude
+
+        def v(y):
+            return float(np.logaddexp(0.0, -2.0 * a * y))
+
+        def integral(f, pieces):
+            return sum(quad(lambda y: f(y) * math.exp(-0.5 * (y - a) ** 2)
+                            / math.sqrt(2 * math.pi), lo, hi,
+                            epsabs=0.0, epsrel=1e-13, limit=200)[0] for lo, hi in pieces)
+
+        mean = integral(v, [(-np.inf, np.inf)])
+        kink = brentq(lambda y: v(y) - mean, -50.0, 50.0, xtol=1e-15)
+        m3 = integral(lambda y: abs(v(y) - mean) ** 3, [(-np.inf, kink), (kink, np.inf)])
+        assert chn.moment_summary(ch).m3_h == pytest.approx(m3, rel=1e-8)
 
 
 class TestMixtureOutput:

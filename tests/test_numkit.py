@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from fbl.numkit import (BracketError, composite_gauss_legendre, gauss_hermite,
-                        golden_min, log_binom, log_q, q_func, q_inv,
-                        rationalize_step, scaled_gauss_tail, solve_monotone)
+from fbl.numkit import (BracketError, composite_gauss_legendre, golden_min, log_binom,
+                        log_q, q_func, q_inv, rationalize_step, scaled_gauss_tail,
+                        solve_monotone)
 
 
 def gaussian_tail_oracle(x):
@@ -184,27 +184,6 @@ class TestGoldenMin:
 
 
 class TestQuadrature:
-    def test_hermite_weights_and_nodes(self):
-        for order in (21, 199):
-            rule = gauss_hermite(order)
-            assert rule.weights.sum() == pytest.approx(math.sqrt(math.pi), abs=1e-10)
-            assert np.all(np.diff(rule.nodes) > 0)
-
-    def test_hermite_polynomial_exactness(self):
-        # order m integrates x^j e^{-x^2} exactly for j <= 2m-1
-        rule = gauss_hermite(10)
-        for j in range(0, 20):
-            got = float(rule.weights @ rule.nodes ** j)
-            expect = 0.0 if j % 2 else math.gamma((j + 1) / 2)
-            assert got == pytest.approx(expect, rel=1e-10, abs=1e-10)
-
-    def test_gaussian_moments_via_mapping(self):
-        rule = gauss_hermite(61)
-        y = rule.gaussian_nodes(mean=1.5, std=2.0)
-        w = rule.gaussian_weights
-        assert float(w @ y) == pytest.approx(1.5, abs=1e-12)
-        assert float(w @ (y - 1.5) ** 2) == pytest.approx(4.0, rel=1e-12)
-
     def test_composite_legendre_gaussian_integral(self):
         y, w = composite_gauss_legendre(-12.0, 12.0)
         val = float(w @ np.exp(-y * y / 2)) / math.sqrt(2 * math.pi)

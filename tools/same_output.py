@@ -17,8 +17,9 @@ exact M and at ln M, with and without --dt-variant; the Z closed form
 at --k; thm1 at a given --delta; thm1 on the Z channel, whose tail is
 read off its exact types, alone, beside thm3 and along n = 200..3000;
 thm3 at a rate whose optimum lies at delta <= 0; the
-fixed-composition simulation at a given --delta and the random
-tie-break simulation; the BiAWGN thm1 rate at eps, checked at the
+fixed-composition simulation at a given --delta, the random
+tie-break simulation and a BiAWGN simulation (the only one that draws
+Gaussian noise); the BiAWGN thm1 rate at eps, checked at the
 searched delta; the Z channel's types readout at a given --delta, from
 above (thm1) and from below (thm3); and `nep` and thm1 on a `file:`
 channel whose exact law is past the state budget at n = 130 (the file
@@ -71,6 +72,8 @@ def commands(tmp: Path):
            "--n", "8", "--k", "2", "--trials", "5000", "--seed", "3", "--delta", "1e-6"]
     yield ["simulate", "--channel", "bsc:0.11", "--ensemble", "gallager", "--n", "12",
            "--k", "3", "--trials", "5000", "--seed", "3", "--tie-break", "random"]
+    yield ["simulate", "--channel", "biawgn:0", "--ensemble", "gallager", "--n", "12",
+           "--k", "3", "--trials", "5000", "--seed", "3", "--delta", "0.2"]
     yield ["compare", "--channel", "biawgn:0", "--eps", "1e-3", "--n", "200:600:200",
            "--bounds", "thm1"]
     for row in (["--theorem", "thm1"], ["--type", "0.5,0.5", "--theorem", "thm3"]):
