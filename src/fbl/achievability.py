@@ -28,12 +28,12 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from . import channel as chn
 from . import nep, tail
 from .numkit import (BracketError, composite_gauss_legendre, golden_min, log_binom,
-                     q_func, q_inv, solve_monotone)
+                     logsumexp, q_func, q_inv, solve_monotone)
 
 LN2 = math.log(2.0)
 

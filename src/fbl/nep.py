@@ -16,8 +16,9 @@ moments, the deviation ceiling and the rate function are each one
 weighted sum over the groups. For each family the module exposes the
 tilted moments, the convex rate function with its parametric slope
 identity, Berry-Esseen-corrected sandwich factors, and a plain
-central-limit interval. Probabilities are assembled in the log domain
-so block lengths in the thousands stay representable.
+central-limit interval. A deviation's tilt is solved by safeguarded
+Newton, with the tilted variance as slope. Probabilities are assembled
+in the log domain so block lengths in the thousands stay representable.
 """
 
 import math
@@ -25,18 +26,18 @@ from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import channel as chn
 from .estimates import TailEstimate
-from .numkit import (central_moments, composite_gauss_legendre, q_func,
-                     q_inv, scaled_gauss_tail, solve_monotone)
+from .numkit import (central_moments, composite_gauss_legendre, logsumexp, q_func,
+                     q_inv, scaled_gauss_tail)
 
 # Berry-Esseen constants: i.i.d. summands vs independent non-identical.
 BERRY_ESSEEN_IID = 0.4784
 BERRY_ESSEEN_INID = 0.56
 
 _LAMBDA_CAP_CONTINUOUS = 1e3
+_NEWTON_MAX_ITER = 400
 
 
 class TiltRangeError(ValueError):
@@ -79,7 +80,7 @@ def _tilted_discrete(logp, values, sign, lam):
     The tilt multiplies the base law by exp(sign * lam * value).
     """
     logw = logp + sign * lam * values
-    log_z = float(logsumexp(logw))
+    log_z = logsumexp(logw)
     return (log_z, *central_moments(values, np.exp(logw - log_z)))
 
 
@@ -97,7 +98,7 @@ def _biawgn_tilted(center, value_fn, sign, lam):
     log_base = -0.5 * (y - center) ** 2 - 0.5 * math.log(2.0 * math.pi)
     v = value_fn(y)
     logw = log_base + np.log(w) + sign * lam * v
-    log_z = float(logsumexp(logw))
+    log_z = logsumexp(logw)
     return (log_z, *central_moments(v, np.exp(logw - log_z)))
 
 
@@ -178,7 +179,10 @@ class TiltFamily:
         return stats.lam * self.sign * (self.center + self.sign * stats.delta) - stats.log_mgf
 
     def solve_lambda(self, delta: float) -> TiltedStats:
-        """Tilt lambda with delta(lambda) = delta, by monotone bisection."""
+        """Tilt lambda with delta(lambda) = delta, by safeguarded Newton from
+        0.5 hi in a doubling bracket [0, hi]: a step out of the bracket, or a
+        zero variance, bisects. Stops at |delta(lambda) - delta| <=
+        1e-12 max(1, delta) or a bracket under 1e-14 (relative above 1)."""
         if delta <= 0:
             raise TiltRangeError("deviation must be positive")
         dstar = self.delta_star()
@@ -193,9 +197,19 @@ class TiltFamily:
                 raise TiltRangeError(
                     f"deviation {delta} needs a tilt beyond the cap {self.lambda_cap}",
                     delta_star=self.tilted_stats(self.lambda_cap).delta)
-        lam = solve_monotone(lambda l: self.tilted_stats(l).delta, delta,
-                             0.0, hi, rtol=1e-12)
-        return self.tilted_stats(lam)
+        ftol = 1e-12 * max(1.0, delta)
+        lo, lam = 0.0, 0.5 * hi
+        for _ in range(_NEWTON_MAX_ITER):
+            stats = self.tilted_stats(lam)
+            miss = stats.delta - delta
+            if abs(miss) <= ftol:
+                return stats
+            lo, hi = (lam, hi) if miss < 0 else (lo, lam)
+            if hi - lo <= 1e-14 * max(1.0, lam):
+                break
+            step = lam - miss / stats.sigma2 if stats.sigma2 > 0 else lo
+            lam = step if lo < step < hi else 0.5 * (lo + hi)
+        return self.tilted_stats(0.5 * (lo + hi))
 
 
 # One family per (channel, composition): achievability, the tail dispatch

@@ -1,6 +1,6 @@
-"""Shared numeric utilities: Gaussian tails, log-domain combinatorics,
-monotone root finding, golden-section minimization, weighted moments,
-quadrature rules and the counter-based random generator.
+"""Shared numeric utilities: Gaussian tails, log-sum-exp, log-domain
+combinatorics, monotone root finding, golden-section minimization, weighted
+moments, quadrature rules and the counter-based random generator.
 
 Everything here is a pure function of its arguments; all probability
 work is done in the log domain so callers can chain results at block
@@ -74,6 +74,21 @@ def q_inv(eps: float) -> float:
         if abs(step) < 0.5:
             x = x - step
     return float(x)
+
+
+def logsumexp(a) -> float:
+    """ln sum exp(a) over a 1-D array, float for float scipy's logsumexp:
+    log1p(sum of the others / m) + ln m + max, m the count of maximal
+    entries. A non-finite maximum is returned as it is."""
+    a = np.asarray(a, dtype=float)
+    a_max = a.max()
+    if not math.isfinite(a_max):
+        return float(a_max)
+    at_max = a == a_max
+    terms = np.exp(a - a_max)
+    terms[at_max] = 0.0
+    m = np.float64(np.count_nonzero(at_max))
+    return float(np.log1p(terms.sum() / m) + np.log(m) + a_max)
 
 
 def log_binom(n: int, w: int) -> float:

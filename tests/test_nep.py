@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy.stats import binom
 
 from fbl import channel as chn
 from fbl import nep
+from fbl.numkit import solve_monotone
 
 UNIF = chn.InputType.uniform(2)
 
@@ -152,6 +154,57 @@ class TestRateFunction:
         mi = chn.mutual_info(chn.zchannel(0.5), UNIF)
         expect = mi - 0.5 * (math.log(2 / 3) + math.log(4 / 3))
         assert famz.delta_star() == pytest.approx(expect, rel=1e-12)
+
+
+def newton_cases():
+    """Fresh families with the top of their deviation grids: seeded random
+    2x2 to 3x4 channels in both families, then BiAWGN at -1, 0 and 1 dB.
+
+    The stop rule fixes lambda only to 1e-12 max(1, delta) / sigma2(lambda),
+    so channels whose statistic has a variance below 1e-3 (rows nearly
+    equal) are redrawn. The BiAWGN deviation has no ceiling; its grid stops
+    at the deviation of tilt 16 (49-78 nats), beyond which lambda delta,
+    of order 1e3 there, is no longer resolved to 1e-12 in a double.
+    """
+    rng = np.random.default_rng(2026)
+    for rows, cols in ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4)) * 3:
+        ch = chn.DiscreteChannel(rng.dirichlet(np.ones(cols), size=rows))
+        fams = [nep.TiltFamily("rel_entropy", ch, chn.InputType.uniform(rows))]
+        if rows == 2:
+            fams.append(nep.TiltFamily("cond_entropy", ch))
+        yield from ((f, f.delta_star()) for f in fams if f.sigma2 >= 1e-3)
+    for snr_db in (-1, 0, 1):
+        ch = chn.BiAwgn(10 ** (snr_db / 10))
+        for fam in (nep.TiltFamily("cond_entropy", ch), nep.TiltFamily("rel_entropy", ch, UNIF)):
+            yield fam, fam.tilted_stats(16.0).delta
+
+
+class TestNewtonSolve:
+    def test_meets_stop_rule_and_matches_bisection(self):
+        evals = []
+        for fam, top in newton_cases():
+            stats_at = fam.tilted_stats
+            calls = [0]
+
+            def counted(lam, stats_at=stats_at, calls=calls):
+                calls[0] += 1
+                return stats_at(lam)
+            fam.tilted_stats = counted
+            for delta in np.linspace(0.0, 0.98 * top, 21)[1:]:
+                calls[0] = 0
+                st = fam.solve_lambda(delta)
+                evals.append(calls[0])
+                assert abs(st.delta - delta) <= 1e-12 * max(1.0, delta)
+                hi = 1.0
+                while stats_at(hi).delta < delta:
+                    hi *= 2.0
+                ref = stats_at(solve_monotone(lambda l: stats_at(l).delta, delta, 0.0, hi,
+                                              rtol=0.0))
+                assert st.lam == pytest.approx(ref.lam, rel=1e-9)
+                assert nep.rate_function(fam, delta).rate_value <= max(
+                    fam.rate_value(replace(ref, delta=delta)), 0.0) + 1e-12
+        # bisection to the same stop rule takes about 41
+        assert np.mean(evals) <= 10
 
 
 class TestXiFactors:

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import logsumexp as scipy_logsumexp
 
 from fbl.numkit import (BracketError, composite_gauss_legendre, golden_min, log_binom,
-                        log_q, q_func, q_inv, rationalize_step, scaled_gauss_tail,
-                        solve_monotone)
+                        log_q, logsumexp, q_func, q_inv, rationalize_step,
+                        scaled_gauss_tail, solve_monotone)
 
 
 def gaussian_tail_oracle(x):
@@ -76,6 +77,23 @@ class TestQInv:
         for bad in (0.0, 1.0, -0.1, 1.1):
             with pytest.raises(ValueError):
                 q_inv(bad)
+
+
+class TestLogSumExp:
+    @settings(max_examples=500, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(1, 2000),
+           scale=st.floats(1.0, 1e3), ties=st.integers(0, 4), neg_inf=st.integers(0, 4),
+           case=st.sampled_from(["finite", "all -inf", "+inf"]))
+    def test_equals_scipy(self, seed, size, scale, ties, neg_inf, case):
+        rng = np.random.default_rng(seed)
+        a = scale * rng.standard_normal(size)
+        a[rng.integers(0, size, ties)] = a.max()
+        a[rng.integers(0, size, neg_inf)] = -np.inf
+        if case == "all -inf":
+            a[:] = -np.inf
+        elif case == "+inf":
+            a[rng.integers(0, size)] = np.inf
+        assert logsumexp(a) == float(scipy_logsumexp(a))
 
 
 class TestLogBinom:

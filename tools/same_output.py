@@ -6,7 +6,11 @@ Unpacks PARENT_REV with `git archive` into a temporary directory and
 runs every command below as `python3 -m fbl.cli ...` against both
 source trees, with PYTHONDONTWRITEBYTECODE=1 so neither tree gains
 bytecode files. Prints one line per command and exits 1 when stdout,
-stderr or the exit code of any command differs.
+stderr or the exit code of any command differs. When stdout differs and
+both sides are CSV with the same header and as many rows, a second line
+gives the largest relative difference |a - b| / max(|a|, |b|) over the
+rows in each numeric column that differs, and names the other columns
+that differ; columns it does not name are identical.
 
 The commands are the benchmark's four workloads at seeds 1-3 (read
 from perfbench/workloads.py), `nep` in both families on a BSC, a Z
@@ -26,6 +30,8 @@ channel whose exact law is past the state budget at n = 130 (the file
 is written into the temporary directory).
 """
 
+import csv
+import io
 import os
 import subprocess
 import sys
@@ -97,6 +103,29 @@ def finish(proc):
     return out, err, proc.returncode
 
 
+def csv_gaps(old: bytes, new: bytes):
+    """'column gap, ...' for two CSV outputs with one header and as many
+    rows, then the text columns that differ; None for any other output."""
+    old_rows, new_rows = (list(csv.reader(io.StringIO(out.decode()))) for out in (old, new))
+    if (not old_rows or not new_rows or old_rows[0] != new_rows[0]
+            or len(old_rows) != len(new_rows)
+            or any(len(row) != len(old_rows[0]) for row in old_rows + new_rows)):
+        return None
+    numeric, text = [], []
+    for j, name in enumerate(old_rows[0]):
+        pairs = [(a[j], b[j]) for a, b in zip(old_rows[1:], new_rows[1:]) if a[j] != b[j]]
+        if not pairs:
+            continue
+        try:
+            gap = max(abs(float(a) - float(b)) / max(abs(float(a)), abs(float(b)))
+                      for a, b in pairs)
+        except ValueError:
+            text.append(name)
+            continue
+        numeric.append(f"{name} {gap:.2g}")
+    return ", ".join(numeric + ([f"text: {' '.join(text)}"] if text else []))
+
+
 def main(argv) -> int:
     if len(argv) != 1:
         print(__doc__.strip(), file=sys.stderr)
@@ -120,6 +149,9 @@ def main(argv) -> int:
             differ += bool(fields)
             print(f"{'DIFF ' + ','.join(fields) if fields else 'same'}"
                   f" (exit {new[2]}): {' '.join(cmd)}", flush=True)
+            gaps = csv_gaps(old[0], new[0]) if "stdout" in fields else None
+            if gaps is not None:
+                print(f"    {gaps}", flush=True)
         print(f"{differ} of the commands differ")
     return 1 if differ else 0
 
