@@ -4,17 +4,19 @@ The paper proves each bound for the random parity-check ensemble (thm1,
 thm2) and again for the fixed-composition ensemble (thm3, thm4); the
 proofs differ only in what an `Ensemble` record holds, so each bound is
 written once over it, one record per (channel, composition, n).
-`THEOREMS`, the theorem table, maps every bound name (those, the BSC,
-BEC and Z closed forms and the error-exponent baseline `ee`) to its
-ensemble, error-at-rate and rate-at-eps, and `bound_at_rate` and
-`max_rate_at_eps` are the one way into each row. Within the budget of
-the statistic's exact law, thm1's and thm3's minima over the deviation
-are exact, atom by atom (thm1's equals the BSC and BEC closed forms in
-any layout), and so is the largest rate that meets eps: both are read
-off the breakpoints between atoms, in the cumulative arrays of the law's
-one memoised record (`tail.exact_law`). Their deviation is signed, so the
-row names the decoder it covers. Elsewhere the deviation is searched,
-and a rate at eps is checked at the searched deviation.
+`THEOREMS`, the theorem table, maps every bound name (those, the BSC
+and BEC readouts, the Z closed form and the error-exponent baseline
+`ee`) to its ensemble, error-at-rate and rate-at-eps, and
+`bound_at_rate` and `max_rate_at_eps` are the one way into each row.
+Within the budget of the statistic's exact law, thm1's and thm3's minima
+over the deviation are exact, atom by atom, and so is the largest rate
+that meets eps: both are read off the breakpoints between atoms, in the
+cumulative arrays of the law's one memoised record (`tail.exact_law`).
+Their deviation is signed, so the row names the decoder it covers.
+Elsewhere the deviation is searched, and a rate at eps is checked at the
+searched deviation. thm1's minimum equals PPV 2010's BSC and BEC sums in
+any layout; `bscform`/`becform` read it at M = 2^k, and with
+`dt_variant` give PPV's DT bound.
 
 Rates are nats per channel use internally; the CLI converts to bits.
 Every reported error bound is clamped to [0, 1]; the pre-clamp tail and
@@ -24,11 +26,10 @@ union components are kept on the result for auditing.
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import channel as chn
 from . import nep, tail
@@ -200,9 +201,9 @@ def _breakpoints(ens: Ensemble):
     E[(e^S - 1) 1{S <= thr}] on average (the paper bounds |jar| by e^thr):
     at most e^s per atom s > 0, none at s = 0, where p(x^n|y^n) = 1. Each
     is a codeword w.p. 2^-n: W_j = 2^-n E[e^S 1{0 < S < s_j}] (the record
-    holds the cumulative expectation), whose minimum the BSC and BEC closed
-    forms compute (the BEC's from t = 1). delta_j puts n (H + delta) midway
-    between the atoms.
+    holds the cumulative expectation); on the BSC and BEC the minimum is
+    PPV 2010's sum (the BEC's from t = 1), which bscform/becform read.
+    delta_j puts n (H + delta) midway between the atoms.
 
     thm3, d_{j-1} <= thr < d_j: P(D <= thr) = T_j = P(D < d_j) and the
     union term M e^(-thr + defect) falls towards M W_j = M e^(-d_j + defect),
@@ -278,51 +279,6 @@ def _log_m_minus_1(M, log_m) -> float:
     if log_m >= 36.0:
         return log_m  # M - 1 rounds to M
     return math.log(math.expm1(log_m)) if log_m > 0 else -math.inf
-
-
-def _resolve_log_m(M, log_m, dt_variant: bool) -> float:
-    """ln of the codebook constant M, or (M-1)/2 in the variant, from an exact M or ln M."""
-    if not dt_variant:
-        if (M is None) == (log_m is None):
-            raise ValueError("give exactly one of M or log_m")
-        return log_m if M is None else _ln(M)
-    log_m1 = _log_m_minus_1(M, log_m)
-    if (M is not None and M < 2) or log_m1 == -math.inf:
-        raise ValueError("variant needs M >= 2")
-    return log_m1 - LN2
-
-
-def bsc_closed_form(p: float, n: int, M=None, dt_variant: bool = False,
-                    log_m: float | None = None) -> float:
-    """Optimized-deviation bound on the BSC: sum_w C(n,w) min{p^w q^(n-w), 2^-n M}.
-
-    The codebook size can be given exactly (M, any int/Fraction) or in
-    the log domain (log_m = ln M) when it would overflow a float.
-    """
-    if not 0 < p < 0.5:
-        raise ValueError("BSC closed form needs p in (0, 0.5)")
-    log_union = _resolve_log_m(M, log_m, dt_variant) - n * LN2
-    w = np.arange(n + 1)
-    log_c = gammaln(n + 1) - gammaln(w + 1) - gammaln(n - w + 1)
-    log_like = w * math.log(p) + (n - w) * math.log(1 - p)
-    return min(1.0, float(np.exp(logsumexp(log_c + np.minimum(log_like, log_union)))))
-
-
-def bec_closed_form(p: float, n: int, M=None, dt_variant: bool = False,
-                    log_m: float | None = None) -> float:
-    """Optimized-deviation bound on the BEC.
-
-    sum_{t>=1} C(n,t) p^t q^(n-t) 2^-[n-t-log2 M]^+; the variant flag
-    switches to the (M-1)/2 constant and starts the sum at t=0.
-    """
-    if not 0 < p < 1:
-        raise ValueError("BEC closed form needs p in (0, 1)")
-    log2_m = _resolve_log_m(M, log_m, dt_variant) / LN2
-    t = np.arange(0 if dt_variant else 1, n + 1)
-    log_c = gammaln(n + 1) - gammaln(t + 1) - gammaln(n - t + 1)
-    log_like = t * math.log(p) + (n - t) * math.log(1 - p)
-    exponent = -LN2 * np.maximum(n - t - log2_m, 0.0)
-    return min(1.0, float(np.exp(logsumexp(log_c + log_like + exponent))))
 
 
 def zchannel_closed_form(p: float, t: chn.InputType, n: int, M=None,
@@ -622,8 +578,8 @@ def _ee_rate_at_eps(ch, t, n, eps):
     rate = solve_monotone(
         lambda r: -error_exponent(ch, t, r),
         -target - rtol * max(1.0, target), 1e-9, chn.mutual_info(ch, t), rtol=rtol)
-    summary = chn.moment_summary(ch, t)
-    return _ee_row(ch, t, n, rate), summary.mutual_info_nats, summary.sigma2_d
+    fam = nep.rel_entropy_family(ch, t)
+    return _ee_row(ch, t, n, rate), fam.center, fam.sigma2
 
 
 # ---------------------------------------------------------------------------
@@ -640,16 +596,32 @@ def _clt_row(ch, t, n, rate, c=None, exact_tail=True, **_):
     return _central_limit(ens, c) if c is not None else _clt_at_rate(ens, rate, exact_tail)
 
 
-def _min_form_row(name, spec, as_channel, closed_form):
-    """bscform/becform: the closed form at M = 2^k exactly, or at ln M = n R."""
-    def row(ch, t, n, rate, k=None, dt_variant=False, **_):
-        p = as_channel(ch)
-        if p is None:
-            raise ValueError(f"{name} needs a {spec}:p channel")
-        size = {"M": 2 ** k} if k is not None else {"log_m": n * rate}
-        return BoundResult(theorem=name, n=n, rate_nats=rate, tail_kind="exact",
-                           error_ub=closed_form(p, n, dt_variant=dt_variant, **size))
-    return row
+def _form_row(name, ch, t, n, rate, k=None, dt_variant=False, **_):
+    """bscform/becform: thm1's breakpoint minimum at ln M = k ln 2, or n R
+    (the minimum itself: the row names no decoder). dt_variant takes
+    (M - 1)/2 for M and charges the S = 0 atom too, W_j + 2^-n P(S = 0) at
+    thresholds from 0 on: PPV's DT bound, whose BEC sum starts at t = 0."""
+    spec, as_channel = {"bscform": ("bsc", chn.as_bsc), "becform": ("bec", chn.as_bec)}[name]
+    if as_channel(ch) is None:
+        raise ValueError(f"{name} needs a {spec}:p channel")
+    ens = _ensemble(ch, None, n)
+    bp = _breakpoints(ens)
+    if bp is None:
+        raise ValueError(f"{name} needs the exact law, past its state budget at n={n}")
+    log_weight = bp[1]
+    if not dt_variant:
+        log_m = k * LN2 if k is not None else n * rate
+    else:
+        log_m = (_log_m_minus_1(2 ** k, None) if k is not None
+                 else _log_m_minus_1(None, n * rate)) - LN2
+        letter = chn.statistic(ch)[0]
+        zero = float(letter.probs[letter.values == 0.0].sum())  # P(S = 0) = zero^n
+        if zero > 0:
+            log_weight = np.r_[log_weight[0],
+                               np.logaddexp(log_weight[1:], n * (math.log(zero) - LN2))]
+    total = np.logaddexp(math.log(ens.f0) + bp[0], log_m + log_weight)
+    return BoundResult(theorem=name, n=n, rate_nats=rate, tail_kind="exact",
+                       error_ub=min(1.0, _exp(float(total.min()))))
 
 
 def _zform_row(ch, t, n, rate, k=None, **_):
@@ -692,8 +664,8 @@ THEOREMS = {
     "thm4p1": Theorem("fixed", _tilted_row, _tilted_rate_at_eps, "delta"),
     "thm4p2": Theorem("fixed", _clt_row, _clt_rate_at_eps, "c"),
     "zform": Theorem("fixed", _zform_row),
-    "bscform": Theorem("parity", _min_form_row("bscform", "bsc", chn.as_bsc, bsc_closed_form)),
-    "becform": Theorem("parity", _min_form_row("becform", "bec", chn.as_bec, bec_closed_form)),
+    "bscform": Theorem("parity", partial(_form_row, "bscform")),
+    "becform": Theorem("parity", partial(_form_row, "becform")),
     "ee": Theorem("iid", _ee_row, _ee_rate_at_eps),
 }
 

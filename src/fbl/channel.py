@@ -20,7 +20,7 @@ the tilted laws at zero tilt: 16-point Gauss-Legendre panels of width
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -195,18 +195,6 @@ class InputType:
         return float(-(t * np.log(t)).sum())
 
 
-@dataclass(frozen=True)
-class InfoSummary:
-    """Moments of the single-letter information quantities of a channel."""
-    cond_entropy_nats: float | None
-    linear_capacity_nats: float | None
-    sigma2_h: float | None
-    m3_h: float | None
-    mutual_info_nats: float | None = None
-    sigma2_d: float | None = None
-    m3_d: float | None = None
-
-
 def log_type_class_size(t: InputType, n: int) -> float:
     """ln of the number of length-n sequences with composition t."""
     counts = t.counts(n)
@@ -243,22 +231,20 @@ def _posterior_laws(ch: DiscreteChannel):
     return laws
 
 
-def posterior_atoms(ch: DiscreteChannel):
-    """Atoms of -ln p(X|Y) under uniform input: (values, probs) over the joint support."""
-    (v0, p0), (v1, p1) = _posterior_laws(ch)
-    return np.concatenate([v0, v1]), 0.5 * np.concatenate([p0, p1])
-
-
 def mixture_output(ch: ChannelModel, t: InputType):
-    """Output law q_t(y) = sum_x t(x) p(y|x).
-
-    Returns a probability vector for discrete channels and the signal
-    amplitude/weights pair for BiAwgn (a two-component Gaussian mixture).
-    """
+    """Output law q_t(y) = sum_x t(x) p(y|x): a probability vector, summed
+    over the inputs t uses and the outputs they reach (a product's rounding
+    depends on its shape, so an unused input would move it), for discrete
+    channels; the signal amplitude/weights pair for BiAwgn."""
     _check_support(ch, t)
     tf = t.as_floats()
     if isinstance(ch, DiscreteChannel):
-        return tf @ ch.matrix
+        used = list(t.support)
+        m = ch.matrix[used]
+        reach = m.sum(axis=0) > 0
+        q = np.zeros(ch.output_size)
+        q[reach] = tf[used] @ m[:, reach]
+        return q
     return ch.amplitude, tf
 
 
@@ -308,8 +294,8 @@ def statistic(ch: ChannelModel, t: InputType | None = None) -> list:
     """
     if t is None:
         if isinstance(ch, DiscreteChannel):
-            v, p = posterior_atoms(ch)
-            return [StatGroup(1.0, p, v)]
+            (v0, p0), (v1, p1) = _posterior_laws(ch)
+            return [StatGroup(1.0, 0.5 * np.concatenate([p0, p1]), np.concatenate([v0, v1]))]
         a = ch.amplitude
         # -ln p(0|y) in the symmetric representation: softplus(-2 a y)
         return [_gaussian_group(1.0, a, lambda y: np.logaddexp(0.0, -2.0 * a * y))]
@@ -391,27 +377,3 @@ def is_symmetric(ch: ChannelModel) -> bool:
         return False
     return all(abs(l0[k] - l1[k]) < 1e-10 for k in l0)
 
-
-def moment_summary(ch: ChannelModel, t: InputType | None = None) -> InfoSummary:
-    """First three moments of both single-letter statistics.
-
-    The conditional-entropy fields are filled for binary-input channels
-    (uniform input); the divergence fields require a composition t, and
-    their variance and third moment are t-weighted averages over the
-    inputs. Raises DegenerateChannelError when the relevant variance
-    vanishes.
-    """
-    binary = isinstance(ch, BiAwgn) or ch.input_size == 2
-    h = cl = s2h = m3h = None
-    if binary:
-        cond = statistic(ch)
-        h, s2h, m3h = _moments(cond) if t is not None else statistic_moments(cond)
-        cl = math.log(2.0) - h
-
-    mi = s2d = m3d = None
-    if t is not None:
-        mi, s2d, m3d = statistic_moments(statistic(ch, t), t)
-
-    return InfoSummary(cond_entropy_nats=h, linear_capacity_nats=cl,
-                       sigma2_h=s2h, m3_h=m3h, mutual_info_nats=mi,
-                       sigma2_d=s2d, m3_d=m3d)

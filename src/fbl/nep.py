@@ -22,13 +22,12 @@ in the log domain so block lengths in the thousands stay representable.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
 
 import numpy as np
 
 from . import channel as chn
-from .estimates import TailEstimate
 from .numkit import (central_moments, composite_gauss_legendre, logsumexp, q_func,
                      q_inv, scaled_gauss_tail)
 
@@ -38,6 +37,36 @@ BERRY_ESSEEN_INID = 0.56
 
 _LAMBDA_CAP_CONTINUOUS = 1e3
 _NEWTON_MAX_ITER = 400
+
+
+@dataclass(frozen=True)
+class TailEstimate:
+    """One evaluation of a tail probability.
+
+    kind is "exact" (value is the probability) or "sandwich" (lower/upper
+    enclose it). log_value carries an exact value's log, so callers can
+    keep working below the float underflow line.
+    """
+    kind: str
+    value: float | None = None
+    lower: float | None = None
+    upper: float | None = None
+    log_value: float | None = None
+    flags: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        lo = self.lower if self.lower is not None else 0.0
+        hi = self.upper if self.upper is not None else 1.0
+        mid = self.value if self.value is not None else lo
+        if not (-1e-12 <= lo <= mid + 1e-12 and mid <= hi + 1e-12 and hi <= 1.0 + 1e-12):
+            raise ValueError(f"inconsistent tail estimate: {lo}, {self.value}, {hi}")
+
+    @property
+    def pessimistic(self) -> float:
+        """Largest probability consistent with the estimate (used by bounds)."""
+        if self.kind == "exact":
+            return self.value
+        return self.upper
 
 
 class TiltRangeError(ValueError):
@@ -180,9 +209,10 @@ class TiltFamily:
 
     def solve_lambda(self, delta: float) -> TiltedStats:
         """Tilt lambda with delta(lambda) = delta, by safeguarded Newton from
-        0.5 hi in a doubling bracket [0, hi]: a step out of the bracket, or a
-        zero variance, bisects. Stops at |delta(lambda) - delta| <=
-        1e-12 max(1, delta) or a bracket under 1e-14 (relative above 1)."""
+        0.5 hi in a doubling bracket [0, hi], whose last step lands on the
+        tilt cap: a step out of the bracket, or a zero variance, bisects.
+        Stops at |delta(lambda) - delta| <= 1e-12 max(1, delta) or a bracket
+        under 1e-14 (relative above 1)."""
         if delta <= 0:
             raise TiltRangeError("deviation must be positive")
         dstar = self.delta_star()
@@ -192,11 +222,11 @@ class TiltFamily:
                 delta_star=dstar)
         hi = 1.0
         while self.tilted_stats(hi).delta < delta:
-            hi *= 2.0
-            if hi > self.lambda_cap:
+            if hi >= self.lambda_cap:
                 raise TiltRangeError(
                     f"deviation {delta} needs a tilt beyond the cap {self.lambda_cap}",
-                    delta_star=self.tilted_stats(self.lambda_cap).delta)
+                    delta_star=self.tilted_stats(hi).delta)
+            hi = min(2.0 * hi, self.lambda_cap)
         ftol = 1e-12 * max(1.0, delta)
         lo, lam = 0.0, 0.5 * hi
         for _ in range(_NEWTON_MAX_ITER):
@@ -276,7 +306,6 @@ def tail_bounds(fam: TiltFamily, delta: float, n: int) -> TailEstimate:
         kind="sandwich",
         lower=math.exp(log_lower) if log_lower > -700 else 0.0,
         upper=math.exp(log_upper) if log_upper > -700 else 0.0,
-        log_lower=log_lower, log_upper=log_upper,
         flags={"rate": rp.rate_value, "lambda": rp.slope_lambda,
                "xi_lower": xi.lower, "xi_upper": xi.upper,
                "degenerate_lower": xi.degenerate_lower,

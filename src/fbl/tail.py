@@ -1,19 +1,21 @@
 """Exact evaluation of the deviation probabilities.
 
 The single-letter statistics of a discrete channel (channel.statistic,
-one row per input in use) take finitely many values, so the n-letter
-sum has an exact law: a log-domain convolution when the values share a
-lattice step (binomial weights for a two-point row), else an enumeration
-of exact types (each count vector of a row's atoms with its multinomial
-weight, rows combined by outer sum), within a fixed state budget. The
-law depends on neither the deviation nor the rate, so it is built once
-per (channel, composition, n) into one record: the ascending atoms and
-the cumulative log mass of the deviation event's side at every cut
-between them (and, for the conditional-entropy sum, thm1's cumulative
-union weight), memoised with the statistic's mean, or None past the
-budget. Every deviation is one cut of it, found by a binary search, and
-one array read. Past the budget, and on continuous-output channels, the
-tail is the tilted-measure sandwich.
+one row per input in use, its atoms sorted and merged) take finitely
+many values, so the n-letter sum has an exact law: a log-domain
+convolution when the values share a lattice step (binomial weights for
+a two-point row), else an enumeration of exact types (each count vector
+of a row's atoms with its multinomial weight, rows combined by outer
+sum), within a fixed state budget. The law depends on neither the
+deviation nor the rate, so it is built once per (channel, composition,
+n) into one record: the ascending atoms and the cumulative log mass of
+the deviation event's side at every cut between them (and, for the
+conditional-entropy sum, thm1's cumulative union weight, from which
+thm1 and the BSC and BEC readouts take their minimum), memoised with
+the statistic's mean, or None past the budget. Every deviation is one
+cut of it, found by a binary search, and one array read. Past the
+budget, and on continuous-output channels, the tail is the
+tilted-measure sandwich.
 
 Inequality conventions follow the two deviation events literally: the
 conditional-entropy event is a strict upper tail (borderline atoms stay
@@ -34,7 +36,7 @@ from scipy.special import gammaln
 
 from . import channel as chn
 from . import nep
-from .estimates import TailEstimate
+from .nep import TailEstimate
 from .numkit import rationalize_step
 
 _MERGE_TOL = 1e-12
@@ -46,41 +48,17 @@ class LatticeInfeasibleError(ValueError):
     """No exact law within the state budget (of a lattice alone: no common step)."""
 
 
-@dataclass(frozen=True)
-class LatticeSpec:
-    """Single-letter distribution: distinct real atoms with probabilities."""
-    values: np.ndarray
-    probs: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        p = np.asarray(self.probs, dtype=float)
-        if v.shape != p.shape or v.ndim != 1 or v.size == 0:
-            raise ValueError("values and probs must be matching 1-D arrays")
-        if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-12:
-            raise ValueError("probabilities must be nonnegative and sum to 1")
-        order = np.argsort(v)
-        v, p = v[order], p[order]
-        v.setflags(write=False)
-        p.setflags(write=False)
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "probs", p)
-
-    @classmethod
-    def from_atoms(cls, values, probs) -> "LatticeSpec":
-        """Build a spec, merging duplicate atoms."""
-        values = np.asarray(values, dtype=float)
-        probs = np.asarray(probs, dtype=float)
-        keep_v, keep_p = [], []
-        for v, p in sorted(zip(values, probs)):
-            if p <= 0:
-                continue
-            if keep_v and abs(v - keep_v[-1]) <= _MERGE_TOL * max(1.0, abs(v)):
-                keep_p[-1] += p
-            else:
-                keep_v.append(v)
-                keep_p.append(p)
-        return cls(np.array(keep_v), np.array(keep_p))
+def _merged(g: chn.StatGroup) -> chn.StatGroup:
+    """g's atoms ascending, those within 1e-12 (relative above 1) of the one
+    below merged into it."""
+    keep_v, keep_p = [], []
+    for v, p in sorted(zip(g.values, g.probs)):
+        if keep_v and abs(v - keep_v[-1]) <= _MERGE_TOL * max(1.0, abs(v)):
+            keep_p[-1] += p
+        else:
+            keep_v.append(v)
+            keep_p.append(p)
+    return chn.StatGroup(g.weight, np.array(keep_p), np.array(keep_v))
 
 
 @dataclass(frozen=True)
@@ -127,24 +105,24 @@ class Law:
 
 
 def _lattice_step(rows):
-    """Common lattice step of rows (LatticeSpec, count); a fixed sum has none."""
-    step = rationalize_step([d for ls, _ in rows for d in np.diff(ls.values)])
+    """Common lattice step of rows (StatGroup, count); a fixed sum has none."""
+    step = rationalize_step([d for g, _ in rows for d in np.diff(g.values)])
     if step is None:
         raise LatticeInfeasibleError("atom values share no common lattice step")
     return step
 
 
-def _row_pmf_on_lattice(ls: LatticeSpec, step: float):
+def _row_pmf_on_lattice(g: chn.StatGroup, step: float):
     """(base value, log-pmf array over lattice indices) for one row."""
-    base = float(ls.values[0])
-    if ls.values.size == 1:
+    base = float(g.values[0])
+    if g.values.size == 1:
         return base, np.array([0.0])
-    idx = np.round((ls.values - base) / step).astype(int)
-    if np.any(np.abs(idx * step - (ls.values - base)) >
-              _SLACK * np.maximum(step, np.abs(ls.values - base))):
+    idx = np.round((g.values - base) / step).astype(int)
+    if np.any(np.abs(idx * step - (g.values - base)) >
+              _SLACK * np.maximum(step, np.abs(g.values - base))):
         raise LatticeInfeasibleError("atom values do not sit on the lattice")
     logp = np.full(idx.max() + 1, -np.inf)
-    logp[idx] = np.log(ls.probs)
+    logp[idx] = np.log(g.probs)
     return base, logp
 
 
@@ -186,8 +164,8 @@ def _lattice_law(rows):
     step = _lattice_step(rows)
     offset = 0.0
     acc = np.array([0.0])
-    for ls, cnt in rows:
-        base, logp = _row_pmf_on_lattice(ls, step)
+    for g, cnt in rows:
+        base, logp = _row_pmf_on_lattice(g, step)
         offset += cnt * base
         if logp.size > 1:
             power = _power_log(logp, cnt)
@@ -199,12 +177,12 @@ def _lattice_law(rows):
     return offset, step, step * live, acc[live]
 
 
-def _row_types(ls: LatticeSpec, count: int):
+def _row_types(g: chn.StatGroup, count: int):
     """(value above count times the lowest atom, log multinomial weight) of
     each type of count draws from one row: each count vector of its atoms."""
     log_fact = gammaln(np.arange(count + 1) + 1.0)
     left, value, log_w = np.array([count]), np.array([0.0]), log_fact[-1:]
-    for v, lp in zip(ls.values[1:] - ls.values[0], np.log(ls.probs[1:])):
+    for v, lp in zip(g.values[1:] - g.values[0], np.log(g.probs[1:])):
         idx = np.repeat(np.arange(left.size), left + 1)
         k = np.arange(idx.size)
         k -= np.repeat(np.cumsum(left + 1) - left - 1, left + 1)
@@ -212,7 +190,7 @@ def _row_types(ls: LatticeSpec, count: int):
         left -= k
         value += k * v
         log_w += k * lp - log_fact[k]
-    return value, log_w + left * math.log(ls.probs[0]) - log_fact[left]
+    return value, log_w + left * math.log(g.probs[0]) - log_fact[left]
 
 
 def _merge_types(points, log_w, up: bool):
@@ -229,14 +207,14 @@ def _merge_types(points, log_w, up: bool):
 def _types_law(rows, up: bool):
     """(offset, 1, points, log masses) of the atoms enumerated by exact
     types, rows combined by outer sum."""
-    states = math.prod(math.comb(cnt + ls.values.size - 1, cnt) for ls, cnt in rows)
+    states = math.prod(math.comb(cnt + g.values.size - 1, cnt) for g, cnt in rows)
     if states > _MAX_LATTICE_STATES:
         raise LatticeInfeasibleError(
             f"exact types need {states} states, budget is {_MAX_LATTICE_STATES}")
     offset, points, log_w = 0.0, np.array([0.0]), np.array([0.0])
-    for ls, cnt in rows:
-        v, w = _row_types(ls, cnt)
-        offset += cnt * float(ls.values[0])
+    for g, cnt in rows:
+        v, w = _row_types(g, cnt)
+        offset += cnt * float(g.values[0])
         points, log_w = _merge_types((points[:, None] + v).ravel(),
                                      (log_w[:, None] + w).ravel(), up)
     return offset, 1.0, points, log_w
@@ -252,31 +230,17 @@ def _sum_distribution(rows, up: bool, charged: bool = False) -> Law:
     return Law.of_atoms(*atoms, up, charged)
 
 
-def exact_tail_rows(rows, threshold: float, side: str = "gt") -> TailEstimate:
-    """Exact tail of an independent sum drawn row-wise (count copies of each
-    row's spec), by lattice convolution or exact types.
-
-    side='gt' gives P{sum > threshold} (strict), side='le' gives
-    P{sum <= threshold}. Raises LatticeInfeasibleError when the law
-    exceeds the state budget.
-    """
-    if side not in ("gt", "le"):
-        raise ValueError(f"side must be 'gt' or 'le', got {side!r}")
-    return _sum_distribution(rows, side == "gt").tail(threshold)
-
-
 # ---------------------------------------------------------------------------
 # deviation probabilities of the two families
 # ---------------------------------------------------------------------------
 
 def _statistic_rows(ch: chn.DiscreteChannel, t, n: int):
-    """Rows (spec, count) of the conditional-entropy sum (t None, n copies of
-    one row) or of the relative-entropy sum (n t(x) copies of input x's row)
-    for the n-type t."""
+    """Rows (merged StatGroup, count) of the conditional-entropy sum (t None,
+    n copies of one row) or of the relative-entropy sum (n t(x) copies of
+    input x's row) for the n-type t."""
     groups = chn.statistic(ch, t)
     counts = [n] if t is None else [c for c in t.counts(n) if c > 0]
-    return [(LatticeSpec.from_atoms(g.values, g.probs), c)
-            for g, c in zip(groups, counts)]
+    return [(_merged(g), c) for g, c in zip(groups, counts)]
 
 
 # One record per (channel, composition, n), None past the state budget so

@@ -23,6 +23,7 @@ import pytest
 from scipy.special import logsumexp
 from scipy.stats import binom, chi2
 
+import closed_forms
 from fbl import achievability as ach
 from fbl import channel as chn
 from fbl import montecarlo as mc
@@ -45,13 +46,13 @@ def test_criterion_1_bsc_closed_form_equivalence():
     for n in (200, 1000, 3000):
         k = n // 2
         res = ach.thm1_optimized(chn.bsc(0.11), ach.CodeParams(n, k=k))
-        direct = ach.bsc_closed_form(0.11, n, 2 ** k)
+        direct = closed_forms.bsc_closed_form(0.11, n, 2 ** k)
         rel = abs(res.error_ub - direct) / direct
         ok &= rel <= 1e-12
         detail.append(f"n={n} rel={rel:.2e}")
         m = 2 ** k
-        dt = ach.bsc_closed_form(0.11, n, m, dt_variant=True)
-        half = ach.bsc_closed_form(0.11, n, Fraction(m - 1, 2))
+        dt = closed_forms.bsc_closed_form(0.11, n, m, dt_variant=True)
+        half = closed_forms.bsc_closed_form(0.11, n, Fraction(m - 1, 2))
         ok &= dt == half
     assert report(1, ok, "; ".join(detail))
 
@@ -62,13 +63,13 @@ def test_criterion_2_bec_closed_form_equivalence():
     for n in (200, 1000, 3000):
         k = n // 2
         res = ach.thm1_optimized(chn.bec(0.5), ach.CodeParams(n, k=k))
-        direct = ach.bec_closed_form(0.5, n, 2 ** k)
+        direct = closed_forms.bec_closed_form(0.5, n, 2 ** k)
         rel = abs(res.error_ub - direct) / direct
         ok &= rel <= 1e-12
         detail.append(f"n={n} rel={rel:.2e}")
         # variant flag: (M-1)/2 constant with the sum started at zero
         m = 2 ** k
-        dt = ach.bec_closed_form(0.5, n, m, dt_variant=True)
+        dt = closed_forms.bec_closed_form(0.5, n, m, dt_variant=True)
         log_m = math.log(m - 1) - LN2
         t = np.arange(0, n + 1)
         from scipy.special import gammaln, logsumexp
@@ -276,9 +277,8 @@ def test_criterion_9_ordering_reproduction():
 
 def test_criterion_10_second_order_scaling():
     ch = chn.bsc(0.11)
-    s = chn.moment_summary(ch)
-    sigma = math.sqrt(s.sigma2_h)
-    cap = s.linear_capacity_nats
+    sigma = math.sqrt(nep.cond_entropy_family(ch).sigma2)
+    cap = chn.linear_capacity(ch)
     scale = sigma * q_inv(1e-3)
     ok = True
     detail = []

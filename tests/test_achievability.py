@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.stats import binom
 
+import closed_forms
 from fbl import achievability as ach
 from fbl import channel as chn
 from fbl import tail
@@ -88,7 +89,7 @@ class TestClosedForms:
         for n in (200, 1000, 3000):
             k = n // 2
             res = ach.thm1_optimized(chn.bsc(0.11), ach.CodeParams(n, k=k))
-            direct = ach.bsc_closed_form(0.11, n, 2 ** k)
+            direct = closed_forms.bsc_closed_form(0.11, n, 2 ** k)
             assert res.error_ub == pytest.approx(direct, rel=1e-12)
             assert res.components[0] + res.components[1] == pytest.approx(
                 direct, rel=1e-12)
@@ -97,14 +98,14 @@ class TestClosedForms:
         for n in (200, 1000):
             k = n // 2
             res = ach.thm1_optimized(chn.bec(0.5), ach.CodeParams(n, k=k))
-            direct = ach.bec_closed_form(0.5, n, 2 ** k)
+            direct = closed_forms.bec_closed_form(0.5, n, 2 ** k)
             assert res.error_ub == pytest.approx(direct, rel=1e-12)
 
     @pytest.mark.parametrize("n, k, value", [(200, 60, 0.00340188), (1000, 400, None)])
     def test_relabelled_bsc_equals_min_form(self, n, k, value):
         ch = chn.DiscreteChannel([[0.11, 0.89], [0.89, 0.11]])
         res = ach.thm1_optimized(ch, ach.CodeParams(n, k=k))
-        direct = ach.bsc_closed_form(0.11, n, 2 ** k)
+        direct = closed_forms.bsc_closed_form(0.11, n, 2 ** k)
         assert res.error_ub == pytest.approx(direct, rel=1e-12)
         if value is not None:
             assert res.error_ub == pytest.approx(value, rel=1e-6)
@@ -113,24 +114,23 @@ class TestClosedForms:
         # n = 1, M = 2: the min picks the codebook density on the clean
         # outcome and the likelihood on the flip
         p = 0.11
-        got = ach.bsc_closed_form(p, 1, 2)
-        assert got == pytest.approx(min(1 - p, 1.0) * 0 + 1.0) or got <= 1.0
+        got = closed_forms.bsc_closed_form(p, 1, 2)
         # direct two-outcome evaluation
         expect = min(1 - p, 2 * 0.5) + min(p, 2 * 0.5)
         assert got == pytest.approx(min(1.0, expect), rel=1e-12)
 
     def test_bsc_total_probability_when_codebook_huge(self):
         # M so large the likelihood always wins the min: the sum is 1
-        assert ach.bsc_closed_form(0.11, 20, 2 ** 60) == pytest.approx(1.0)
+        assert closed_forms.bsc_closed_form(0.11, 20, 2 ** 60) == pytest.approx(1.0)
 
     def test_dt_variant_relation(self):
         n, M = 200, 2 ** 100
-        assert ach.bsc_closed_form(0.11, n, M, dt_variant=True) == \
-            ach.bsc_closed_form(0.11, n, (M - 1) / 2)
+        assert closed_forms.bsc_closed_form(0.11, n, M, dt_variant=True) == \
+            closed_forms.bsc_closed_form(0.11, n, (M - 1) / 2)
 
     def test_bec_enumeration_small(self):
         p, n, M = 0.3, 6, 2
-        got = ach.bec_closed_form(p, n, M)
+        got = closed_forms.bec_closed_form(p, n, M)
         expect = sum(
             math.comb(n, t) * p ** t * (1 - p) ** (n - t)
             * 2.0 ** -max(n - t - math.log2(M), 0.0)
@@ -139,7 +139,7 @@ class TestClosedForms:
 
     def test_bec_dt_variant_starts_at_zero(self):
         p, n, M = 0.5, 50, 2 ** 20
-        got = ach.bec_closed_form(p, n, M, dt_variant=True)
+        got = closed_forms.bec_closed_form(p, n, M, dt_variant=True)
         half = (M - 1) / 2
         expect = sum(
             math.comb(n, t) * p ** t * (1 - p) ** (n - t)
@@ -148,7 +148,7 @@ class TestClosedForms:
         assert got == pytest.approx(expect, rel=1e-12)
 
     def test_bec_vanishes_with_erasure_probability(self):
-        vals = [ach.bec_closed_form(p, 40, 2 ** 10) for p in (0.2, 0.05, 0.01)]
+        vals = [closed_forms.bec_closed_form(p, 40, 2 ** 10) for p in (0.2, 0.05, 0.01)]
         assert vals[0] > vals[1] > vals[2]
         assert vals[2] < 1e-6
 
@@ -196,12 +196,18 @@ class TestThm1LatticeMinimum:
         ref = results[0].error_ub
         assert all(r.error_ub == pytest.approx(ref, rel=1e-12, abs=1e-300)
                    for r in results)
-        if kind == "bsc":
-            assert ref == pytest.approx(ach.bsc_closed_form(p, n, 2 ** k), rel=1e-12,
-                                        abs=1e-300)
-        elif kind == "bec":
-            assert ref == pytest.approx(ach.bec_closed_form(p, n, 2 ** k), rel=1e-12,
-                                        abs=1e-300)
+        if kind != "golden":
+            form = closed_forms.bsc_closed_form if kind == "bsc" else closed_forms.bec_closed_form
+            assert ref == pytest.approx(form(p, n, 2 ** k), rel=1e-12, abs=1e-300)
+            # the bscform/becform rows read the same minimum, at M = 2^k or ln M = n R,
+            # and the DT bound with dt_variant
+            for dt_variant in (False, True):
+                for size in ({"M": 2 ** k}, {"log_m": n * cp.rate}):
+                    row = ach.bound_at_rate(
+                        kind + "form", _layout(matrix, *layouts[0]), n, cp.rate,
+                        k=k if "M" in size else None, dt_variant=dt_variant)
+                    assert row.error_ub == pytest.approx(
+                        form(p, n, dt_variant=dt_variant, **size), rel=1e-12, abs=1e-300)
         # the minimum over delta is no larger than tail + union at any delta
         ch = _layout(matrix, *layouts[-1])
         for delta in np.geomspace(1e-4, 1.0, 25):
@@ -493,12 +499,12 @@ class TestThm2:
         # generic (asymmetric) form keeps the puncturing factor
         ch = chn.zchannel(0.5)
         n = 400
-        s = chn.moment_summary(ch)
+        _, var, m3 = chn.statistic_moments(chn.statistic(ch))
         res = ach.bound_at_rate("thm2p2", ch, n, None, c=0.0)
-        sigma = math.sqrt(s.sigma2_h)
+        sigma = math.sqrt(var)
         expect = (0.5 / (1 - 2.0 ** -n)
-                  + (0.4784 * s.m3_h / sigma ** 3
-                     + 1 / math.sqrt(2 * math.pi * s.sigma2_h)) / math.sqrt(n))
+                  + (0.4784 * m3 / sigma ** 3
+                     + 1 / math.sqrt(2 * math.pi * var)) / math.sqrt(n))
         assert res.error_ub == pytest.approx(expect, rel=1e-12)
         cap = chn.linear_capacity(ch)
         assert res.rate_nats == pytest.approx(
@@ -608,16 +614,16 @@ class TestThm4:
         r4 = ach.bound_at_rate("thm4p2", ch, n, None, t=UNIF, c=c)
         defect = n * UNIF.entropy() - chn.log_type_class_size(UNIF, n)
         assert r2.rate_nats - r4.rate_nats == pytest.approx(defect / n, rel=1e-10)
-        s = chn.moment_summary(ch, UNIF)
-        assert s.sigma2_d == pytest.approx(s.sigma2_h, rel=1e-12)
+        var_d = chn.statistic_moments(chn.statistic(ch, UNIF), UNIF)[1]
+        assert var_d == pytest.approx(chn.statistic_moments(chn.statistic(ch))[1], rel=1e-12)
 
     def test_part2_c_zero_center(self):
         ch = chn.zchannel(0.5)
-        s = chn.moment_summary(ch, UNIF)
+        _, var, m3 = chn.statistic_moments(chn.statistic(ch, UNIF), UNIF)
         res = ach.bound_at_rate("thm4p2", ch, 256, None, t=UNIF, c=0.0)
-        sigma = math.sqrt(s.sigma2_d)
-        expect = 0.5 + (0.56 * s.m3_d / sigma ** 3
-                        + 1 / math.sqrt(2 * math.pi * s.sigma2_d)) / 16.0
+        sigma = math.sqrt(var)
+        expect = 0.5 + (0.56 * m3 / sigma ** 3
+                        + 1 / math.sqrt(2 * math.pi * var)) / 16.0
         assert res.error_ub == pytest.approx(expect, rel=1e-12)
 
     def test_alternative_composition_computable(self):
@@ -711,12 +717,12 @@ class TestMaxRateAtEps:
     def test_second_order_reference(self):
         ch = chn.bsc(0.11)
         res = ach.max_rate_at_eps(ch, 2000, 1e-3, "thm1")
-        s = chn.moment_summary(ch)
-        ref = s.linear_capacity_nats - math.sqrt(s.sigma2_h / 2000) * q_inv(1e-3)
+        cap, var = chn.linear_capacity(ch), chn.statistic_moments(chn.statistic(ch))[1]
+        ref = cap - math.sqrt(var / 2000) * q_inv(1e-3)
         assert res.extras["second_order_rate"] == pytest.approx(ref, rel=1e-12)
         # the achieved rate tracks the reference to within its own scale
         gap = abs(res.rate_nats - ref)
-        assert gap < 0.2 * (s.linear_capacity_nats - ref)
+        assert gap < 0.2 * (cap - ref)
 
     def test_rate_gap_shrinks_like_sqrt_n(self):
         ch = chn.bsc(0.11)

@@ -32,10 +32,10 @@ class TestTiltedStats:
     def test_zero_tilt_matches_base_moments(self):
         fam = bsc_family()
         st = fam.tilted_stats(0.0)
-        s = chn.moment_summary(chn.bsc(0.11))
+        _, var, m3 = chn.statistic_moments(chn.statistic(chn.bsc(0.11)))
         assert st.delta == pytest.approx(0.0, abs=1e-12)
-        assert st.sigma2 == pytest.approx(s.sigma2_h, rel=1e-12)
-        assert st.m3 == pytest.approx(s.m3_h, rel=1e-12)
+        assert st.sigma2 == pytest.approx(var, rel=1e-12)
+        assert st.m3 == pytest.approx(m3, rel=1e-12)
         assert st.log_mgf == pytest.approx(0.0, abs=1e-12)
 
     def test_deviation_slope_at_zero_is_variance(self):
@@ -102,8 +102,8 @@ class TestRateFunction:
         delta = 0.05
         # direct sup over a dense tilt grid of the same objective
         lam_grid = np.linspace(0.0, 2.0, 200001)
-        v, p = chn.posterior_atoms(chn.bsc(0.11))
-        logp = np.log(p)
+        [letter] = chn.statistic(chn.bsc(0.11))
+        v, logp = letter.values, np.log(letter.probs)
         h = fam.center
         vals = lam_grid * (h + delta) - np.array(
             [np.logaddexp.reduce(logp + l * v) for l in lam_grid])
@@ -205,6 +205,23 @@ class TestNewtonSolve:
                     fam.rate_value(replace(ref, delta=delta)), 0.0) + 1e-12
         # bisection to the same stop rule takes about 41
         assert np.mean(evals) <= 10
+
+    @pytest.mark.parametrize("snr_db", [0, 1])
+    def test_bracket_reaches_the_tilt_cap(self, snr_db):
+        # BiAWGN's deviation has no ceiling, so the tilt stops at the cap of
+        # 1000: every deviation up to delta(cap) solves, and a refusal names a
+        # delta_star that the solver reaches at 0.999 of it. Near the cap the
+        # quadrature's noise is above the 1e-12 tolerance, and the bracket
+        # rule ends the solve.
+        fam = nep.TiltFamily("cond_entropy", chn.BiAwgn(10 ** (snr_db / 10)))
+        top = fam.tilted_stats(fam.lambda_cap).delta
+        st = fam.solve_lambda(0.9 * top)
+        assert st.lam < fam.lambda_cap
+        assert st.delta == pytest.approx(0.9 * top, rel=1e-9)
+        with pytest.raises(nep.TiltRangeError) as refused:
+            fam.solve_lambda(1.001 * top)
+        reach = 0.999 * refused.value.delta_star
+        assert fam.solve_lambda(reach).delta == pytest.approx(reach, rel=1e-9)
 
 
 class TestXiFactors:

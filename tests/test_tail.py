@@ -21,6 +21,12 @@ def cond_spec(ch):
     return spec
 
 
+def spec(values, probs):
+    """A one-letter law with the given atoms, sorted and merged as the tail
+    module merges the statistic's."""
+    return tail._merged(chn.StatGroup(1.0, np.asarray(probs, float), np.asarray(values, float)))
+
+
 def enumerate_sums(letters):
     """Every sum of one atom per letter, with its probability; letters is a
     list of (values, probs), one entry per summand."""
@@ -43,20 +49,15 @@ def enumerate_tail(values, probs, n, threshold, side, letters=None):
     return float(ps[mask].sum())
 
 
-class TestLatticeSpec:
+class TestMergedAtoms:
     def test_merging_and_sorting(self):
-        ls = tail.LatticeSpec.from_atoms([0.3, 0.1, 0.3], [0.2, 0.5, 0.3])
+        ls = spec([0.3, 0.1, 0.3], [0.2, 0.5, 0.3])
         assert ls.values == pytest.approx([0.1, 0.3])
         assert ls.probs == pytest.approx([0.5, 0.5])
         assert tail._lattice_step([(ls, 1)]) == pytest.approx(0.2)
 
-    def test_prob_validation(self):
-        with pytest.raises(ValueError):
-            tail.LatticeSpec(np.array([0.0, 1.0]), np.array([0.5, 0.6]))
-
     def test_non_lattice_detection(self):
-        ls = tail.LatticeSpec.from_atoms(
-            [0.0, math.log(2), math.log(3)], [0.3, 0.3, 0.4])
+        ls = spec([0.0, math.log(2), math.log(3)], [0.3, 0.3, 0.4])
         with pytest.raises(tail.LatticeInfeasibleError):
             tail._lattice_step([(ls, 1)])
 
@@ -65,21 +66,21 @@ class TestExactTail:
     def test_bsc_four_transmissions(self):
         # weight >= 3 out of 4 at p = 0.11, via full 16-outcome enumeration
         p = 0.11
-        spec = cond_spec(chn.bsc(p))
+        letter = cond_spec(chn.bsc(p))
         h = chn.cond_entropy(chn.bsc(p))
         ratio = math.log((1 - p) / p)
         delta = ratio * (2.5 / 4 - p)  # tail = {weight > 2.5}
-        est = tail.exact_tail_rows([(spec, 4)], 4 * (h + delta))
+        est = tail._sum_distribution([(letter, 4)], up=True).tail(4 * (h + delta))
         expect = math.comb(4, 3) * p ** 3 * (1 - p) + p ** 4
         assert est.value == pytest.approx(expect, rel=1e-12)
 
     def test_threshold_below_support(self):
-        ls = tail.LatticeSpec.from_atoms([1.0, 2.0], [0.5, 0.5])
-        assert tail.exact_tail_rows([(ls, 5)], 0.0).value == 1.0
+        law = tail._sum_distribution([(spec([1.0, 2.0], [0.5, 0.5]), 5)], up=True)
+        assert law.tail(0.0).value == 1.0
 
     def test_threshold_above_support(self):
-        ls = tail.LatticeSpec.from_atoms([1.0, 2.0], [0.5, 0.5])
-        assert tail.exact_tail_rows([(ls, 5)], 100.0).value == 0.0
+        law = tail._sum_distribution([(spec([1.0, 2.0], [0.5, 0.5]), 5)], up=True)
+        assert law.tail(100.0).value == 0.0
 
     def test_exhaustive_two_and_three_atoms(self):
         rng = np.random.default_rng(3)
@@ -91,44 +92,43 @@ class TestExactTail:
                 values = values * 0.37
                 probs = rng.random(atoms) + 0.1
                 probs /= probs.sum()
-                ls = tail.LatticeSpec.from_atoms(values, probs)
+                ls = spec(values, probs)
                 for n in (1, 5, 12):
                     thr = float(rng.uniform(n * values.min(), n * values.max()))
                     for side in ("gt", "le"):
-                        got = tail.exact_tail_rows([(ls, n)], thr, side=side).value
+                        got = tail._sum_distribution([(ls, n)], side == "gt").tail(thr).value
                         expect = enumerate_tail(values, probs, n, thr, side)
                         assert got == pytest.approx(expect, rel=1e-10, abs=1e-12)
 
     def test_strict_versus_nonstrict_at_atom(self):
-        ls = tail.LatticeSpec.from_atoms([0.0, 1.0], [0.5, 0.5])
+        ls = spec([0.0, 1.0], [0.5, 0.5])
         n = 4
         # threshold exactly on the lattice: 'gt' excludes the atom, 'le' keeps it
-        gt = tail.exact_tail_rows([(ls, n)], 2.0, side="gt").value
-        le = tail.exact_tail_rows([(ls, n)], 2.0, side="le").value
+        gt = tail._sum_distribution([(ls, n)], up=True).tail(2.0).value
+        le = tail._sum_distribution([(ls, n)], up=False).tail(2.0).value
         assert gt == pytest.approx(float(binom.sf(2, n, 0.5)), rel=1e-12)
         assert le == pytest.approx(float(binom.cdf(2, n, 0.5)), rel=1e-12)
         assert gt + le == pytest.approx(1.0, rel=1e-12)
 
     def test_off_lattice_sum_is_exact_by_types(self):
         values, probs = [0.0, math.log(2), math.log(3)], [0.3, 0.3, 0.4]
-        ls = tail.LatticeSpec.from_atoms(values, probs)
+        ls = spec(values, probs)
         for side in ("gt", "le"):
-            est = tail.exact_tail_rows([(ls, 10)], 4.0, side=side)
+            est = tail._sum_distribution([(ls, 10)], side == "gt").tail(4.0)
             assert est.kind == "exact"
             assert est.value == pytest.approx(enumerate_tail(values, probs, 10, 4.0, side),
                                               rel=1e-12)
 
     def test_state_budget(self):
         # 10^7 + 2 states: refused before anything is allocated
-        ls = tail.LatticeSpec.from_atoms([0.0, 1.0], [0.5, 0.5])
         with pytest.raises(tail.LatticeInfeasibleError):
-            tail.exact_tail_rows([(ls, 10 ** 7 + 1)], 5.0)
+            tail._sum_distribution([(spec([0.0, 1.0], [0.5, 0.5]), 10 ** 7 + 1)], up=True)
 
     def test_log_value_survives_underflow(self):
         p = 0.11
-        spec = cond_spec(chn.bsc(p))
         h = chn.cond_entropy(chn.bsc(p))
-        est = tail.exact_tail_rows([(spec, 3000)], 3000 * (h + 1.2))
+        law = tail._sum_distribution([(cond_spec(chn.bsc(p)), 3000)], up=True)
+        est = law.tail(3000 * (h + 1.2))
         assert est.value == 0.0 or est.value < 1e-300
         assert est.log_value < -700
 
@@ -163,7 +163,8 @@ class TestPdelta:
         # n small enough for the exact answer by brute force
         ch = chn.zchannel(0.5)
         n, delta = 8, 0.05
-        v, p = chn.posterior_atoms(ch)
+        [letter] = chn.statistic(ch)
+        v, p = letter.values, letter.probs
         h = chn.cond_entropy(ch)
         expect = enumerate_tail(v, p, n, n * (h + delta), "gt")
         est = tail.pdelta(ch, delta, n)
@@ -413,13 +414,14 @@ class TestTypesLaw:
         # at n = 2 the sums 1 + 1 and 0 + (2 + 5e-9) are closer than four
         # readout slacks: they merge, up for an upper tail, down for a lower one
         values, probs = [0.0, 1.0, 2.0 + 5e-9], [0.2, 0.5, 0.3]
-        ls = tail.LatticeSpec.from_atoms(values, probs)
+        ls = spec(values, probs)
         with pytest.raises(tail.LatticeInfeasibleError):
             tail._lattice_step([(ls, 2)])
+        laws = {side: tail._sum_distribution([(ls, 2)], side == "gt") for side in ("gt", "le")}
         between = 2.0 + 2.5e-9
         both = 0.5 ** 2 + 2 * 0.2 * 0.3
-        gt = tail.exact_tail_rows([(ls, 2)], between, side="gt").value
-        le = tail.exact_tail_rows([(ls, 2)], between, side="le").value
+        gt = laws["gt"].tail(between).value
+        le = laws["le"].tail(between).value
         assert gt == pytest.approx(enumerate_tail(values, probs, 2, between, "gt") + 0.5 ** 2,
                                    rel=1e-12)
         assert le == pytest.approx(enumerate_tail(values, probs, 2, between, "le")
@@ -427,8 +429,8 @@ class TestTypesLaw:
         assert gt + le == pytest.approx(1.0 + both, rel=1e-12)
         for threshold in (1.5, 2.5):  # away from the pair nothing moves
             for side in ("gt", "le"):
-                assert tail.exact_tail_rows([(ls, 2)], threshold, side=side).value == \
-                    pytest.approx(enumerate_tail(values, probs, 2, threshold, side), rel=1e-12)
+                assert laws[side].tail(threshold).value == pytest.approx(
+                    enumerate_tail(values, probs, 2, threshold, side), rel=1e-12)
 
 
 class TestLatticeMemo:
@@ -446,13 +448,12 @@ class TestLatticeMemo:
             n = 2 * half_n
             if kind == "z":
                 got = tail.ptdelta(ch, UNIF, delta, n)
-                fresh = tail.exact_tail_rows(
-                    tail._statistic_rows(ch, UNIF, n),
-                    n * (chn.mutual_info(ch, UNIF) - delta), side="le")
+                fresh = tail._sum_distribution(tail._statistic_rows(ch, UNIF, n), up=False).tail(
+                    n * (chn.mutual_info(ch, UNIF) - delta))
             else:
                 got = tail.pdelta(ch, delta, n)
-                fresh = tail.exact_tail_rows([(cond_spec(ch), n)],
-                                             n * (chn.cond_entropy(ch) + delta))
+                fresh = tail._sum_distribution([(cond_spec(ch), n)], up=True).tail(
+                    n * (chn.cond_entropy(ch) + delta))
             assert got.kind == fresh.kind == "exact"
             assert got.value == fresh.value
             assert got.log_value == fresh.log_value

@@ -16,8 +16,10 @@ The commands are the benchmark's four workloads at seeds 1-3 (read
 from perfbench/workloads.py), `nep` in both families on a BSC, a Z
 channel and a BiAWGN, and the fixed-composition and central-limit rows
 on a BiAWGN and a Z channel, through both `error-vs-rate` and `compare`.
-Then single rows that those miss: the BSC and BEC closed forms at an
-exact M and at ln M, with and without --dt-variant; the Z closed form
+Then single rows that those miss: the BSC and BEC readouts at an
+exact M and at ln M, with and without --dt-variant, and the BEC's DT
+row at n = 200, k = 150 and p = 0.05, where the S = 0 atom's charge is
+2e-9 of the bound, inside the printed digits; the Z closed form
 at --k; thm1 at a given --delta; thm1 on the Z channel, whose tail is
 read off its exact types, alone, beside thm3 and along n = 200..3000;
 thm3 at a rate whose optimum lies at delta <= 0; the
@@ -63,6 +65,8 @@ def commands(tmp: Path):
             for variant in ([], ["--dt-variant"]):
                 yield ["bound", "--channel", spec, "--theorem", form, "--n", "500",
                        *rate, *variant]
+    yield ["bound", "--channel", "bec:0.05", "--theorem", "becform", "--n", "200", "--k", "150",
+           "--dt-variant"]
     yield ["bound", "--channel", "z:0.5", "--type", "0.5,0.5", "--theorem", "zform",
            "--n", "200", "--k", "40"]
     yield ["bound", "--channel", "bec:0.5", "--theorem", "thm1", "--n", "500", "--k", "200",
