@@ -33,8 +33,8 @@ import numpy as np
 
 from . import channel as chn
 from . import nep, tail
-from .numkit import (BracketError, composite_gauss_legendre, golden_min, log_binom,
-                     logsumexp, q_func, q_inv, solve_monotone)
+from .numkit import (composite_gauss_legendre, golden_min, log_binom, logsumexp, q_func,
+                     q_inv, solve_monotone)
 
 LN2 = math.log(2.0)
 
@@ -362,10 +362,8 @@ def _central_limit(ens: Ensemble, c) -> BoundResult:
 
 
 def _tilted_rate_curve(ens: Ensemble):
-    """The tilted-form rate as a function of the tilt, and the largest tilt to use.
-
-    The largest tilt keeps clear of the blow-up near the deviation ceiling.
-    """
+    """The tilted-form rate and error as functions of the tilt, and the largest
+    tilt to use, which keeps clear of the blow-up near the deviation ceiling."""
     fam, n = ens.family(), ens.n
 
     def rate(lam):
@@ -373,12 +371,16 @@ def _tilted_rate_curve(ens: Ensemble):
         xi = nep.xi_factors(fam, lam, n)
         return _tilted_rate(ens, st.delta, fam.rate_value(st), lam, xi.upper)
 
+    def err(lam):
+        st = fam.tilted_stats(lam)
+        return _tilted_error(ens, fam.rate_value(st), lam, nep.xi_factors(fam, lam, n).upper)
+
     lam_hi = min(fam.lambda_cap, 1e6)
     if fam.delta_star() < math.inf:
         while fam.tilted_stats(lam_hi).delta > 0.995 * fam.delta_star() \
                 and lam_hi > 1.0:
             lam_hi /= 2.0
-    return rate, lam_hi
+    return rate, err, lam_hi
 
 
 def _tilted_at_rate(ens: Ensemble, rate_nats) -> BoundResult:
@@ -388,7 +390,7 @@ def _tilted_at_rate(ens: Ensemble, rate_nats) -> BoundResult:
     the deviation and rate function grow; the useful solution is the one
     past the peak, where the error bound is smallest.
     """
-    rate, lam_hi = _tilted_rate_curve(ens)
+    rate, _, lam_hi = _tilted_rate_curve(ens)
     grid = np.geomspace(1e-6, lam_hi, 128)
     rates = [rate(l) for l in grid]
     i_peak = int(np.argmax(rates))
@@ -404,15 +406,16 @@ def _tilted_at_rate(ens: Ensemble, rate_nats) -> BoundResult:
 
 
 def _clt_c_for_rate(ens: Ensemble, rate_nats):
-    """The c at which the central-limit rate equals rate_nats."""
-    sigma2 = ens.family().sigma2
-    try:
-        return solve_monotone(lambda c: -_clt_rate(ens, c), -rate_nats,
-                              -0.9 * sigma2 * math.sqrt(ens.n),
-                              60.0 * math.sqrt(sigma2), rtol=1e-12)
-    except BracketError as exc:
+    """The c where the central-limit rate, falling in c, equals R: the larger root
+    of c^2/(2 sigma^2 n) + c/sqrt(n) + k = 0, k = R - rate(0), as -2k/(1/sqrt(n)
+    + sqrt(D)), D = (1 - 2k/sigma^2)/n, free of cancellation. D < 0: R is above the peak."""
+    n, sigma2 = ens.n, ens.family().sigma2
+    k = rate_nats - _clt_rate(ens, 0.0)
+    disc = (1.0 - 2.0 * k / sigma2) / n
+    if disc < 0:
         raise InfeasibleRateError(
-            f"rate {rate_nats} is outside the central-limit range at n={ens.n}") from exc
+            f"rate {rate_nats} is outside the central-limit range at n={n}")
+    return -2.0 * k / (1.0 / math.sqrt(n) + math.sqrt(disc))
 
 
 def _clt_at_rate(ens: Ensemble, rate_nats, exact_tail=True) -> BoundResult:
@@ -455,28 +458,14 @@ def gallager_e0(ch, input_dist: chn.InputType, rho: float) -> float:
 
 def error_exponent(ch, input_dist: chn.InputType, rate_nats: float) -> float:
     """Random-coding exponent max_{rho in [0,1]} [E0(rho) - rho R]."""
-    def neg(rho):
-        return -(gallager_e0(ch, input_dist, rho) - rho * rate_nats)
-
-    _, best = golden_min(neg, np.linspace(0.0, 1.0, 33), 60)
+    _, best = golden_min(lambda rho: rho * rate_nats - gallager_e0(ch, input_dist, rho),
+                         np.linspace(0.0, 1.0, 33), 60)
     return max(0.0, -best)
 
 
 # ---------------------------------------------------------------------------
 # rate inversion: largest rate with bound <= eps
 # ---------------------------------------------------------------------------
-
-def _bisect(ok, good, bad, iters, mid):
-    """Halve the bracket between good (ok) and bad (not ok) iters times at
-    mid(good, bad); return the end where ok holds."""
-    for _ in range(iters):
-        m = mid(good, bad)
-        if ok(m):
-            good = m
-        else:
-            bad = m
-    return good
-
 
 def _tail_union_at_rate(ch, t, n, rate, delta=None, **_):
     """thm1 (t None) or thm3 at a rate: minimised over delta, or at the given delta."""
@@ -488,6 +477,18 @@ def _tail_union_at_rate(ch, t, n, rate, delta=None, **_):
 
 # Rate-at-eps entries return the row at its largest rate with error <= eps,
 # and the capacity and variance of the row's information statistic.
+
+def _step_down(row, rate, eps, refusal):
+    """row(rate) at the first rate, stepping down 1, 2, 4, ... ulps, with error_ub <= eps."""
+    ulps = 1
+    while rate > 0:
+        res = row(rate)
+        if res.error_ub <= eps:
+            return res
+        rate -= ulps * math.ulp(rate)
+        ulps *= 2
+    raise InfeasibleRateError(refusal)
+
 
 def _tail_union_rate_at_eps(ch, t, n, eps):
     """The largest rate meeting eps: max_j ln((eps - f0 T_j) / W_j) / n on an
@@ -508,40 +509,39 @@ def _tail_union_rate_at_eps(ch, t, n, eps):
 
         delta, neg = golden_min(neg_rate, _delta_grid(ens, 0.0), 60)
         rate = -float(neg)
-    ulps = 1
-    while rate > 0:
-        res = _tail_union_at_rate(ch, t, n, rate, delta)
-        if res.error_ub <= eps:
-            return res, ens.capacity, ens.family().sigma2
-        rate -= ulps * math.ulp(rate)
-        ulps *= 2
-    raise InfeasibleRateError(f"no positive rate meets {eps} at n={n}")
+    res = _step_down(lambda r: _tail_union_at_rate(ch, t, n, r, delta), rate, eps,
+                     f"no positive rate meets {eps} at n={n}")
+    return res, ens.capacity, ens.family().sigma2
 
 
 def _tilted_rate_at_eps(ch, t, n, eps):
+    """The tilted form's largest rate meeting eps, over the tilts from lambda_eps
+    on (the error falls in the tilt). -ln err(e^u) = -ln eps is solved over
+    u = ln lambda, ln 0 read as -inf, then lambda is raised by doubling ulps
+    until err <= eps."""
     ens = _ensemble(ch, t, n)
-    fam = ens.family()
+    rate, err, lam_hi = _tilted_rate_curve(ens)
 
-    def err(lam):
-        st = fam.tilted_stats(lam)
-        xi = nep.xi_factors(fam, lam, n)
-        return _tilted_error(ens, fam.rate_value(st), lam, xi.upper)
+    def neg_log_err(u):
+        e = err(math.exp(u))
+        return -math.log(e) if e > 0 else math.inf
 
-    rate, lam_hi = _tilted_rate_curve(ens)
-    lam_lo = 1e-8
-    if err(lam_lo) <= eps:
-        lam_eps = lam_lo
-    elif err(lam_hi) > eps:
-        raise InfeasibleRateError(f"error target {eps} unreachable at n={n}")
-    else:
-        lam_eps = _bisect(lambda lam: not err(lam) > eps, lam_hi, lam_lo, 80,
-                          lambda g, b: math.sqrt(b * g))
+    lam_eps = 1e-8
+    if err(lam_eps) > eps:
+        if err(lam_hi) > eps:
+            raise InfeasibleRateError(f"error target {eps} unreachable at n={n}")
+        lam_eps = math.exp(solve_monotone(neg_log_err, -math.log(eps), math.log(lam_eps),
+                                          math.log(lam_hi), rtol=1e-12))
+        ulps = 1
+        while err(lam_eps) > eps:
+            lam_eps += ulps * math.ulp(lam_eps)
+            ulps *= 2
     lam_hi = max(lam_hi, lam_eps * 1.001)
     lam, neg_rate = golden_min(lambda l: -rate(l),
                                np.geomspace(lam_eps, lam_hi, 96), 50)
     res = BoundResult(theorem=ens.names[1], n=n, rate_nats=-neg_rate,
                       error_ub=err(lam), lambda_or_c=lam, tail_kind="sandwich")
-    return res, ens.capacity, fam.sigma2
+    return res, ens.capacity, ens.family().sigma2
 
 
 def _clt_rate_at_eps(ch, t, n, eps):
@@ -568,18 +568,17 @@ def _clt_rate_at_eps(ch, t, n, eps):
 
 
 def _ee_rate_at_eps(ch, t, n, eps):
+    """The largest rate meeting eps: E_r(R) >= E* = -ln(eps)/n exactly when R <=
+    (E0(rho) - E*)/rho for some rho in (0, 1], a ratio unimodal in rho (E0 is
+    concave) whose optimum rho* ~ sqrt(2 E*/V) a geometric grid brackets however
+    small. Returns the ee row there, stepped down by doubling ulps until error_ub <= eps."""
     target = -math.log(eps) / n
-    if error_exponent(ch, t, 1e-9) < target:
-        raise InfeasibleRateError("exponent target unreachable")
-    # solve_monotone stops within its tolerance on either side of its aim;
-    # aiming one tolerance above the target keeps E_r(rate) >= target, so
-    # exp(-n E_r) stays <= eps
-    rtol = 1e-10
-    rate = solve_monotone(
-        lambda r: -error_exponent(ch, t, r),
-        -target - rtol * max(1.0, target), 1e-9, chn.mutual_info(ch, t), rtol=rtol)
+    _, neg_rate = golden_min(lambda rho: (target - gallager_e0(ch, t, rho)) / rho,
+                             np.geomspace(1e-8, 1.0, 33), 40)
+    res = _step_down(partial(_ee_row, ch, t, n), -float(neg_rate), eps,
+                     "exponent target unreachable")
     fam = nep.rel_entropy_family(ch, t)
-    return _ee_row(ch, t, n, rate), fam.center, fam.sigma2
+    return res, fam.center, fam.sigma2
 
 
 # ---------------------------------------------------------------------------

@@ -246,7 +246,7 @@ def test_criterion_9_ordering_reproduction():
             if abs(res.rate_nats - ref) > 1e-8:
                 problems.append(f"n={n} {name} rate {res.rate_nats:.10f} "
                                 f"!= reference {ref:.10f}")
-            if res.error_ub > eps * (1 + 1e-12):
+            if res.error_ub > eps:
                 problems.append(f"n={n} {name} error_ub {res.error_ub:.10e} > eps")
         leads.append(r1.rate_nats > re.rate_nats)
         if not leads[-1]:

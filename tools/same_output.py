@@ -29,7 +29,10 @@ Gaussian noise); the BiAWGN thm1 rate at eps, checked at the
 searched delta; the Z channel's types readout at a given --delta, from
 above (thm1) and from below (thm3); and `nep` and thm1 on a `file:`
 channel whose exact law is past the state budget at n = 130 (the file
-is written into the temporary directory).
+is written into the temporary directory); and the `ee` rate at eps on a
+BiAWGN, on a BSC at n = 10^6 and eps = 0.1, where the optimal rho is
+near 3e-3, on a Z channel with a non-uniform input at n = 20, and where
+no positive rate meets eps (exit 3).
 """
 
 import csv
@@ -94,6 +97,11 @@ def commands(tmp: Path):
     yield ["nep", "--channel", f"file:{channel}", "--n", "130", "--delta", "0.02:0.2:0.02"]
     yield ["bound", "--channel", f"file:{channel}", "--theorem", "thm1", "--n", "130",
            "--k", "20"]
+    for spec, eps, n in (("biawgn:0", "1e-3", "1000"), ("bsc:0.11", "0.1", "1000000"),
+                         ("bsc:0.11", "1e-9", "50")):
+        yield ["compare", "--channel", spec, "--eps", eps, "--n", n, "--bounds", "ee"]
+    yield ["compare", "--channel", "z:0.5", "--type", "0.4,0.6", "--eps", "0.2", "--n", "20",
+           "--bounds", "ee"]
 
 
 def start(src: Path, argv, cwd):
